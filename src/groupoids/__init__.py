@@ -48,9 +48,6 @@ from .errors import GroupoidError
 from .generate import from_spec, group_from_spec
 from .ghost import (
     ghost_apply,
-    ghost_determinant,
-    ghost_injective,
-    ghost_matrix,
     idempotents_json,
     primitive_idempotents,
     solve_lower_triangular,
@@ -84,10 +81,7 @@ from .subconj import (
     conjugated_isotropy_subgroups,
     enumerate_reps,
     enumerate_subgroups,
-    mark,
     mark_table,
 )
 
 __version__ = "0.1.0"
-
-__all__ = [name for name in dir() if not name.startswith("_")]

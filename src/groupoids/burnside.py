@@ -75,6 +75,7 @@ class BurnsideRing:
 
     def __init__(self, g: FiniteGroupoid, cap=DEFAULT_ISOTROPY_CAP):
         self.groupoid = g
+        self.cap = cap
         self.reps = tuple(enumerate_reps(g, cap=cap))
         self.labels = tuple(rep_label(g, r) for r in self.reps)
         self._cosets = [None] * len(self.reps)
@@ -129,7 +130,7 @@ class BurnsideRing:
         return self.element(out)
 
     def mark_table(self):
-        return mark_table(self.groupoid)
+        return mark_table(self.groupoid, self.cap)
 
     def to_json(self):
         # structure constants as sparse triples (i, j, nonzero result terms)
@@ -266,7 +267,7 @@ def product_decomposition(ring: BurnsideRing) -> ProductDecomposition:
         iso = g.isotropy(base)
         grp, arrow_at = iso.as_group()
         factor_gpd = from_group(grp)
-        factor = BurnsideRing(factor_gpd)
+        factor = BurnsideRing(factor_gpd, ring.cap)
         arrow_to_element = {arr: idx for idx, arr in enumerate(arrow_at)}
         for i, rep in enumerate(ring.reps):
             if g.component_index(rep.base) != ci:
@@ -373,9 +374,10 @@ def burnside_difference_ring(ring: BurnsideRing) -> GrothendieckRing:
     """Difference completion of the effective cone of a Burnside ring.
 
     Cancellative because the table of marks has nonzero determinant, so
-    classes of G-sets already embed in the integer vector model.
+    classes of G-sets already embed in the integer vector model; building
+    the table raises TriangularityViolation on a zero diagonal mark.
     """
-    assert ring.mark_table().det() != 0
+    ring.mark_table()
     return GrothendieckRing(lambda a, b: a + b, lambda a, b: a * b,
                             ring.zero(), cancellative=True)
 

@@ -129,7 +129,7 @@ def _cmd_conjugate(args):
 
 def _cmd_marks(args):
     g = _groupoid_from_args(args)
-    table = subconj.mark_table(g, cap=args.subgroup_cap, jobs=args.jobs)
+    table = subconj.mark_table(g, cap=args.subgroup_cap)
     fmt = _fmt(args, "csv")
     if fmt == "csv":
         return table.to_csv_string()
@@ -179,7 +179,7 @@ def _cmd_ghost(args):
     out = {"labels": list(table.labels),
            "matrix": [list(row) for row in table.matrix],
            "det": table.det(),
-           "injective": ghost.ghost_injective(ring)}
+           "injective": table.det() != 0}
     if applied is not None:
         out["applied"] = list(applied)
     return _json_text(out)
@@ -331,9 +331,6 @@ def _add_common(p, groupoid_positional=True):
     p.add_argument("--output", "-o", default=None, metavar="PATH")
     p.add_argument("--format", choices=("csv", "json", "pretty"), default=None)
     p.add_argument("--subgroup-cap", type=int, default=subconj.DEFAULT_ISOTROPY_CAP)
-    p.add_argument("--search-budget", type=int,
-                   default=subconj.DEFAULT_SEARCH_BUDGET)
-    p.add_argument("--jobs", type=int, default=1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -360,6 +357,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("first", help="subgroupoid JSON file")
     p.add_argument("second", help="subgroupoid JSON file")
     _add_common(p, groupoid_positional=False)
+    p.add_argument("--search-budget", type=int,
+                   default=subconj.DEFAULT_SEARCH_BUDGET)
     p.set_defaults(func=_cmd_conjugate)
 
     p = sub.add_parser("ghost")

@@ -67,7 +67,7 @@ class FiniteGroupoid:
         self._components = None
         self._hom = None
         self._into = None
-        self._derived = {}  # memo for expensive derived data (class reps)
+        self._derived = {}  # memo for expensive derived data (reps, marks)
         if check:
             self._check()
 
@@ -108,9 +108,6 @@ class FiniteGroupoid:
         except KeyError:
             raise CompositionDomainMismatch(
                 "src(g) != tgt(h)", g=g, h=h) from None
-
-    def try_compose(self, g, h):
-        return self._compose.get((g, h))
 
     def object_index(self, label):
         try:

@@ -2,10 +2,13 @@
 
 The ghost map sends a virtual G-set to its vector of fixed point counts,
 one per conjugacy class of one-object subgroupoids; its matrix in the
-coset basis is the table of marks. Since the produced class ordering makes
-that matrix lower triangular with nonzero diagonal, the map is injective
-and the linear systems defining the primitive idempotents of Q tensor B(G)
-are solved exactly by forward substitution over Fraction.
+coset basis is the table of marks, `BurnsideRing.mark_table()`, built at
+the ring's cap and memoized on the groupoid. Since the produced class
+ordering makes that matrix block diagonal over components with lower
+triangular, nonzero-diagonal blocks, the map is injective (the table's
+`det()` is nonzero) and the linear systems defining the primitive
+idempotents of Q tensor B(G) are solved exactly by forward substitution
+over Fraction.
 """
 
 from __future__ import annotations
@@ -16,27 +19,13 @@ from .burnside import BurnsideElement, BurnsideRing
 from .errors import SingularMatrix, TableMismatch
 
 
-def ghost_matrix(ring: BurnsideRing):
-    """Marks matrix of the ring's basis, rows and columns in basis order."""
-    return ring.mark_table().matrix
-
-
 def ghost_apply(ring: BurnsideRing, elem: BurnsideElement):
     """Fixed point counts of a (virtual) G-set, per subgroupoid class."""
     if elem.ring is not ring:
         raise TableMismatch("element of a different Burnside ring")
-    matrix = ghost_matrix(ring)
+    matrix = ring.mark_table().matrix
     return tuple(sum(matrix[i][k] * c for k, c in enumerate(elem.coeffs))
                  for i in range(ring.rank))
-
-
-def ghost_determinant(ring: BurnsideRing) -> int:
-    """Product of diagonal marks; valid because the matrix is triangular."""
-    return ring.mark_table().det()
-
-
-def ghost_injective(ring: BurnsideRing) -> bool:
-    return ghost_determinant(ring) != 0
 
 
 def solve_lower_triangular(matrix, rhs):
@@ -60,7 +49,7 @@ def primitive_idempotents(ring: BurnsideRing):
     basis; their ghost vectors are the standard basis vectors, so they are
     orthogonal, idempotent, and sum to one.
     """
-    matrix = ghost_matrix(ring)
+    matrix = ring.mark_table().matrix
     idems = []
     for i in range(ring.rank):
         rhs = [int(i == j) for j in range(ring.rank)]
@@ -88,7 +77,3 @@ def idempotents_json(ring: BurnsideRing, idems):
              "coefficients": {lab: str(Fraction(c))
                               for lab, c in zip(ring.labels, e.coeffs) if c}}
             for i, e in enumerate(idems)]
-
-
-def ghost_csv_string(ring: BurnsideRing) -> str:
-    return ring.mark_table().to_csv_string()

@@ -27,6 +27,7 @@ from .core import (
 from .errors import (
     ActionDomainGap,
     AssociativityActionViolation,
+    DecompositionMismatch,
     GroupoidMismatch,
     IdentityActionViolation,
     MalformedInput,
@@ -374,8 +375,10 @@ def decompose(x: RightGSet, reps) -> GSetDecomposition:
     """Match each orbit's stabilizer against the representative classes.
 
     `reps` is the ordered rep(S_G) list from subconj.enumerate_reps; the
-    coefficient vector counts orbits per conjugacy class. The identity
-    sum(coeff * |G/K|) = |carrier| is asserted before returning.
+    coefficient vector counts orbits per conjugacy class. Each orbit is
+    checked against orbit-stabilizer: |orbit| * |Stab| must equal the number
+    of arrows into the orbit representative's object, otherwise
+    DecompositionMismatch is raised.
     """
     from .subconj import conjugacy_class_index
     coeffs = [0] * len(reps)
@@ -387,14 +390,11 @@ def decompose(x: RightGSet, reps) -> GSetDecomposition:
         k = conjugacy_class_index(stab, reps)
         coeffs[k] += 1
         # orbit size must match the coset space it will be identified with
-        assert len(orbit) * stab.order == _component_arrows_into(x.groupoid,
-                                                                x.sigma[e])
+        if len(orbit) * stab.order != len(x.groupoid.arrows_into(x.sigma[e])):
+            raise DecompositionMismatch(
+                "orbit size times stabilizer order is not the number of "
+                "arrows into the object", element=e)
     return GSetDecomposition(tuple(orbit_reps), tuple(coeffs))
-
-
-def _component_arrows_into(g, a):
-    # |G/Stab| * |Stab| = number of arrows into a (orbit-stabilizer count)
-    return len(g.arrows_into(a))
 
 
 def isomorphic(x: RightGSet, y: RightGSet):

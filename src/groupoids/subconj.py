@@ -228,12 +228,6 @@ def conjugacy_witness_json(g: FiniteGroupoid, witness):
 
 # -- tables of marks -------------------------------------------------------
 
-def mark(g: FiniteGroupoid, h: OneObjectSubgroupoid,
-         k: OneObjectSubgroupoid) -> int:
-    """Number of H-fixed points on the coset G-set G/K."""
-    return len(fixed_points(coset_gset(g, k), h))
-
-
 @dataclass(frozen=True)
 class MarkTable:
     groupoid: FiniteGroupoid
@@ -274,29 +268,22 @@ def rep_label(g: FiniteGroupoid, rep: OneObjectSubgroupoid) -> str:
                             ",".join(str(a) for a in rep.arrows))
 
 
-def mark_table(g: FiniteGroupoid, cap=DEFAULT_ISOTROPY_CAP,
-               jobs=1) -> MarkTable:
+def mark_table(g: FiniteGroupoid, cap=DEFAULT_ISOTROPY_CAP) -> MarkTable:
     """Table of marks over the produced class ordering, shape-checked.
 
     Entry (i, j) counts H_i-fixed points on G/H_j. The ordering guarantees a
     block diagonal matrix over components whose blocks are lower triangular
     with nonzero diagonal; any violation raises instead of returning.
-    `jobs` > 1 computes rows in a thread pool; output is order-independent.
+    Results are memoized on the groupoid instance, per cap.
     """
+    cached = g._derived.get(("marks", cap))
+    if cached is not None:
+        return cached
     reps = enumerate_reps(g, cap=cap)
     components = tuple(g.component_index(r.base) for r in reps)
     cosets = [coset_gset(g, r) for r in reps]
-
-    def row(i):
-        return tuple(len(fixed_points(cosets[j], reps[i]))
-                     for j in range(len(reps)))
-
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            matrix = tuple(pool.map(row, range(len(reps))))
-    else:
-        matrix = tuple(row(i) for i in range(len(reps)))
+    matrix = tuple(tuple(len(fixed_points(coset, h)) for coset in cosets)
+                   for h in reps)
     for i in range(len(reps)):
         for j in range(len(reps)):
             if components[i] != components[j] and matrix[i][j]:
@@ -308,4 +295,6 @@ def mark_table(g: FiniteGroupoid, cap=DEFAULT_ISOTROPY_CAP,
         if matrix[i][i] == 0:
             raise TriangularityViolation("zero diagonal mark", row=i)
     labels = tuple(rep_label(g, r) for r in reps)
-    return MarkTable(g, tuple(reps), matrix, labels, components)
+    table = MarkTable(g, tuple(reps), matrix, labels, components)
+    g._derived[("marks", cap)] = table
+    return table

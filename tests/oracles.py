@@ -8,6 +8,8 @@ a second opinion. Size guards keep the exponential searches honest.
 from fractions import Fraction
 from itertools import product
 
+from groupoids.gset import coset_gset
+
 
 def equivariant_maps(x, y, limit=None):
     """All action-preserving maps x -> y, by exhaustive assignment."""
@@ -63,6 +65,11 @@ def fixed_elements(x, base, arrows):
     return [e for e in range(x.size)
             if x.sigma[e] == base
             and all(x.action[(e, p)] == e for p in arrows)]
+
+
+def mark(g, h, k):
+    """Number of H-fixed points on the coset G-set G/K, by definition."""
+    return len(fixed_elements(coset_gset(g, k), h.base, h.arrows))
 
 
 def subgroups_bitmask(group):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupoids import burnside, core, errors, generate, groups, gset, subconj
+from groupoids import burnside, core, errors, generate, ghost, groups, gset, subconj
 
 
 @pytest.fixture
@@ -175,6 +175,18 @@ def test_burnside_difference_ring_is_cancellative(s3_ring):
     a, b = s3_ring.basis(1), s3_ring.basis(2)
     assert ring.eq(ring.pair(a, b), ring.pair(a + a, b + a))
     assert not ring.eq(ring.pair(a, b), ring.pair(b, a))
+
+
+def test_ring_keeps_a_cap_above_the_default():
+    # C5 x C5 has order 25, one above the default isotropy cap of 24
+    c5 = groups.cyclic(5)
+    g = core.from_group(groups.direct_product(c5, c5))
+    ring = burnside.BurnsideRing(g, cap=25)
+    assert ring.mark_table() is subconj.mark_table(g, ring.cap)
+    assert ring.mark_table().det() == 25 * 5 ** 6
+    assert ghost.verify_idempotents(ring, ghost.primitive_idempotents(ring))
+    pd = burnside.product_decomposition(ring)
+    assert [f.rank for f in pd.factors] == [ring.rank] == [8]
 
 
 def test_boolean_rig_collapse_and_undecidable():

@@ -3,7 +3,7 @@ import io
 import json
 import sys
 
-from groupoids import cli, core, generate, gset
+from groupoids import cli, core, generate, groups, gset
 from groupoids.generate import from_spec
 
 
@@ -234,6 +234,23 @@ def test_action_generator(tmp_path, capsys):
                         "action:C2:2:%s" % table)
     assert code == 0
     assert json.loads(out)["arrows"] == 4
+
+
+def test_subgroup_cap_above_the_default(tmp_path, capsys):
+    c5 = groups.cyclic(5)
+    table = tmp_path / "c5xc5.json"
+    table.write_text(json.dumps(
+        {"table": groups.direct_product(c5, c5).table}))
+    for command in ("idempotents", "ghost", "decompose-ring"):
+        code, out = run_cli(capsys, command, "--gen", "trg:%s:1" % table,
+                            "--subgroup-cap", "25")
+        assert code == 0, out
+
+
+def test_knobs_only_where_they_are_read(capsys):
+    assert cli.run(["marks", "--gen", "trg:C2:1", "--jobs", "2"]) == 2
+    assert cli.run(["validate", "--gen", "trg:C2:1",
+                    "--search-budget", "5"]) == 2
 
 
 def test_output_file_flag(tmp_path, capsys):

@@ -169,6 +169,19 @@ def test_decompose_counts_sizes(s3_two_objects):
     assert total == x.size
 
 
+def test_decompose_rejects_orbit_stabilizer_mismatch():
+    # over C2 both elements act by s onto element 0: one orbit of size 2
+    # whose stabilizer is all of C2, so 2 * 2 != 2 arrows into the object
+    g = core.from_group(groups.cyclic(2))
+    e = g.identity(0)
+    s = 1 - e
+    x = gset.RightGSet(g, (0, 0), {(0, e): 0, (1, e): 1, (0, s): 0, (1, s): 0},
+                       check=False)
+    with pytest.raises(errors.DecompositionMismatch) as info:
+        gset.decompose(x, subconj.enumerate_reps(g))
+    assert info.value.detail["element"] == 0
+
+
 def test_isomorphic_matches_bruteforce_bijection_search(s3_groupoid):
     g = s3_groupoid
     reps = subconj.enumerate_reps(g)
