@@ -15,7 +15,7 @@ from random import Random
 
 from . import burnside as burnside_mod
 from . import core, generate, ghost, gset, subconj
-from .errors import GroupoidError
+from .errors import GroupoidError, MalformedInput
 
 
 class _UsageError(Exception):
@@ -27,10 +27,17 @@ def _json_text(obj) -> str:
 
 
 def _read_json(path):
-    if path == "-":
-        return json.load(sys.stdin)
-    with open(path) as fh:
-        return json.load(fh)
+    try:
+        if path == "-":
+            return json.load(sys.stdin)
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as ex:
+        raise MalformedInput("unreadable file", path=path,
+                             reason=ex.strerror) from None
+    except ValueError as ex:  # JSONDecodeError, UnicodeDecodeError
+        raise MalformedInput("not valid JSON", path=path,
+                             reason=str(ex)) from None
 
 
 def _groupoid_from_args(args) -> core.FiniteGroupoid:

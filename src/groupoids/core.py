@@ -14,6 +14,7 @@ no word problem.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import (
     AssociativityFailure,
@@ -212,17 +213,27 @@ class FiniteGroupoid:
     # -- validation --------------------------------------------------------
 
     def _check(self):
+        """Check every axiom; the first failure, in a fixed order, is raised.
+
+        Composition is checked on position rows: pos[h] is the index of h
+        in arrows_into(tgt h), and row[g][pos[k]] = pos[gk] for every k in
+        arrows_into(src g). A hole (None) is a missing composable pair, and
+        associativity (gh)k = g(hk) over all k becomes the list equality
+        row[gh] == [row[g][x] for x in row[h]].
+        """
         n, m = self.n_objects, self.n_arrows
+        src, tgt, compose = self._src, self._tgt, self._compose
+        identity = self._identity
         for g in range(m):
-            if not 0 <= self._src[g] < n:
+            if not 0 <= src[g] < n:
                 raise DanglingArrowEndpoint("src out of range", arrow=g)
-            if not 0 <= self._tgt[g] < n:
+            if not 0 <= tgt[g] < n:
                 raise DanglingArrowEndpoint("tgt out of range", arrow=g)
         for a in range(n):
-            i = self._identity[a]
+            i = identity[a]
             if not 0 <= i < m:
                 raise MissingIdentity("identity arrow missing", object=a)
-            if self._src[i] != a or self._tgt[i] != a:
+            if src[i] != a or tgt[i] != a:
                 raise MissingIdentity("identity arrow is not a loop at its object",
                                       object=a, arrow=i)
         if len(self._inverse) != m:
@@ -230,40 +241,65 @@ class FiniteGroupoid:
         for g in range(m):
             if not 0 <= self._inverse[g] < m:
                 raise InverseFailure("inverse out of range", arrow=g)
-        for (g, h), gh in sorted(self._compose.items()):
-            if not (0 <= g < m and 0 <= h < m and 0 <= gh < m):
-                raise CompositionDomainMismatch("composition entry out of range",
-                                                g=g, h=h)
-            if self._src[g] != self._tgt[h]:
-                raise CompositionDomainMismatch(
-                    "pair is not composable", g=g, h=h)
-            if self._src[gh] != self._src[h] or self._tgt[gh] != self._tgt[g]:
-                raise CompositionDomainMismatch(
-                    "endpoints of gh disagree with g, h", g=g, h=h, gh=gh)
+        self._adjacency()
+        into = self._into
+        pos = [0] * m
+        for arrows in into:
+            for i, h in enumerate(arrows):
+                pos[h] = i
+        row = [[None] * len(into[src[g]]) for g in range(m)]
+        for (g, h), gh in compose.items():
+            if (0 <= g < m and 0 <= h < m and 0 <= gh < m and src[g] == tgt[h]
+                    and src[gh] == src[h] and tgt[gh] == tgt[g]):
+                row[g][pos[h]] = pos[gh]
+            else:
+                # report the least failing pair, whatever the table's order
+                first = min(key for key, v in compose.items()
+                            if self._entry_error(key, v))
+                raise self._entry_error(first, compose[first])
         for g in range(m):
-            for h in range(m):
-                if self._src[g] == self._tgt[h] and (g, h) not in self._compose:
-                    raise CompositionDomainMismatch(
-                        "composable pair missing from table", g=g, h=h)
+            if None in row[g]:
+                h = into[src[g]][row[g].index(None)]
+                raise CompositionDomainMismatch(
+                    "composable pair missing from table", g=g, h=h)
         for g in range(m):
-            if self._compose[(g, self._identity[self._src[g]])] != g:
+            if compose[(g, identity[src[g]])] != g:
                 raise MissingIdentity("right identity law fails", arrow=g)
-            if self._compose[(self._identity[self._tgt[g]], g)] != g:
+            if compose[(identity[tgt[g]], g)] != g:
                 raise MissingIdentity("left identity law fails", arrow=g)
         for g in range(m):
             gi = self._inverse[g]
-            if self._src[gi] != self._tgt[g] or self._tgt[gi] != self._src[g]:
+            if src[gi] != tgt[g] or tgt[gi] != src[g]:
                 raise InverseFailure("inverse endpoints are swapped incorrectly",
                                      arrow=g)
-            if self._compose[(g, gi)] != self._identity[self._tgt[g]] or \
-               self._compose[(gi, g)] != self._identity[self._src[g]]:
+            if compose[(g, gi)] != identity[tgt[g]] or \
+               compose[(gi, g)] != identity[src[g]]:
                 raise InverseFailure("g * inverse(g) is not an identity", arrow=g)
-        self._adjacency()
-        for (g, h), gh in self._compose.items():
-            for k in self._into[self._src[h]]:
-                if self._compose[(gh, k)] != \
-                   self._compose[(g, self._compose[(h, k)])]:
-                    raise AssociativityFailure("(gh)k != g(hk)", g=g, h=h, k=k)
+        # gather[h](row[g]) is one C-level gather of pos[g(hk)] over k; an
+        # itemgetter of a single index returns the bare item, so one-entry
+        # rows are compared bare (row[gh] and row[h] have the same length)
+        row = [tuple(r) for r in row]
+        gather = [itemgetter(*r) for r in row]
+        shaped = [r if len(r) > 1 else r[0] for r in row]
+        for (g, h), gh in compose.items():
+            if shaped[gh] != gather[h](row[g]):
+                k = next(k for k, x, y in zip(into[src[h]], row[gh],
+                                              map(row[g].__getitem__, row[h]))
+                         if x != y)
+                raise AssociativityFailure("(gh)k != g(hk)", g=g, h=h, k=k)
+
+    def _entry_error(self, pair, gh):
+        """The error for one bad compose entry, or None if it is sound."""
+        (g, h), m = pair, self.n_arrows
+        if not (0 <= g < m and 0 <= h < m and 0 <= gh < m):
+            return CompositionDomainMismatch("composition entry out of range",
+                                             g=g, h=h)
+        if self._src[g] != self._tgt[h]:
+            return CompositionDomainMismatch("pair is not composable", g=g, h=h)
+        if self._src[gh] != self._src[h] or self._tgt[gh] != self._tgt[g]:
+            return CompositionDomainMismatch(
+                "endpoints of gh disagree with g, h", g=g, h=h, gh=gh)
+        return None
 
     def validated(self):
         """Re-run the full axiom check; returns self."""
@@ -297,22 +333,39 @@ class FiniteGroupoid:
 
 def _dict_get(d, label):
     # JSON object keys arrive as strings; programmatic dicts may keep raw labels
-    if label in d:
-        return d[label]
+    try:
+        if label in d:
+            return d[label]
+    except TypeError:  # unhashable, e.g. a JSON array: no such label
+        return _MISSING
     return d.get(str(label), _MISSING)
 
 
+def _label(label, key):
+    try:
+        hash(label)
+    except TypeError:
+        raise MalformedInput("labels must be strings or numbers",
+                             key=key, label=label) from None
+    return label
+
+
 _MISSING = object()
+_JSON_TYPES = {"array": (list, tuple), "object": dict}
+_SHAPES = (("objects", "array"), ("arrows", "array"), ("identity", "object"),
+           ("inverse", "object"), ("compose", "array"))
 
 
 def validate(data) -> FiniteGroupoid:
     """Check raw groupoid data (the JSON shape) and build a FiniteGroupoid."""
     if not isinstance(data, dict):
         raise MalformedInput("groupoid data must be a mapping")
-    for key in ("objects", "arrows", "identity", "inverse", "compose"):
+    for key, kind in _SHAPES:
         if key not in data:
             raise MalformedInput("missing key", key=key)
-    object_labels = list(data["objects"])
+        if not isinstance(data[key], _JSON_TYPES[kind]):
+            raise MalformedInput("wrong JSON type", key=key, expected=kind)
+    object_labels = [_label(lab, "objects") for lab in data["objects"]]
     obj_index = {lab: i for i, lab in enumerate(object_labels)}
     if len(obj_index) != len(object_labels):
         raise MalformedInput("duplicate object labels")
@@ -320,15 +373,14 @@ def validate(data) -> FiniteGroupoid:
     for rec in data["arrows"]:
         if not isinstance(rec, dict) or not {"id", "src", "tgt"} <= set(rec):
             raise MalformedInput("arrow records need id/src/tgt", record=rec)
-        arrow_labels.append(rec["id"])
-        if rec["src"] not in obj_index:
-            raise DanglingArrowEndpoint("unknown src object",
-                                        arrow=rec["id"], object=rec["src"])
-        if rec["tgt"] not in obj_index:
-            raise DanglingArrowEndpoint("unknown tgt object",
-                                        arrow=rec["id"], object=rec["tgt"])
-        src.append(obj_index[rec["src"]])
-        tgt.append(obj_index[rec["tgt"]])
+        arrow_labels.append(_label(rec["id"], "arrows"))
+        for end, ends in (("src", src), ("tgt", tgt)):
+            try:
+                ends.append(obj_index[rec[end]])
+            except (KeyError, TypeError):  # TypeError: an unhashable label
+                raise DanglingArrowEndpoint("unknown %s object" % end,
+                                            arrow=rec["id"],
+                                            object=rec[end]) from None
     arr_index = {lab: i for i, lab in enumerate(arrow_labels)}
     if len(arr_index) != len(arrow_labels):
         raise MalformedInput("duplicate arrow labels")
@@ -353,7 +405,7 @@ def validate(data) -> FiniteGroupoid:
         inverse[arr_index[lab]] = arrow_of(inv, "inverse")
     compose = {}
     for entry in data["compose"]:
-        if len(entry) != 3:
+        if not isinstance(entry, _JSON_TYPES["array"]) or len(entry) != 3:
             raise MalformedInput("compose entries are [g, h, gh]", entry=entry)
         g, h, gh = (arrow_of(x, "compose") for x in entry)
         if (g, h) in compose and compose[(g, h)] != gh:
@@ -456,9 +508,12 @@ class Subgroupoid:
                                       arrow=g)
             if p.inverse(g) not in self._arrow_set:
                 raise NotASubgroupoid("not closed under inverse", arrow=g)
+        into = {}  # member arrows by target, ascending like self.arrows
+        for h in self.arrows:
+            into.setdefault(p.tgt(h), []).append(h)
         for g in self.arrows:
-            for h in self.arrows:
-                if p.src(g) == p.tgt(h) and p.compose(g, h) not in self._arrow_set:
+            for h in into.get(p.src(g), ()):
+                if p.compose(g, h) not in self._arrow_set:
                     raise NotASubgroupoid("not closed under composition",
                                           g=g, h=h)
 
@@ -571,12 +626,11 @@ class GroupoidMorphism:
                 raise IdentityNotPreserved("identity arrow not preserved",
                                            object=a)
         for g in s.arrows():
-            for h in s.arrows():
-                if s.src(g) == s.tgt(h):
-                    if self.phi1[s.compose(g, h)] != \
-                       t.compose(self.phi1[g], self.phi1[h]):
-                        raise CompositionNotPreserved("phi1(gh) != phi1(g)phi1(h)",
-                                                      g=g, h=h)
+            for h in s.arrows_into(s.src(g)):
+                if self.phi1[s.compose(g, h)] != \
+                   t.compose(self.phi1[g], self.phi1[h]):
+                    raise CompositionNotPreserved("phi1(gh) != phi1(g)phi1(h)",
+                                                  g=g, h=h)
 
     def apply_object(self, a):
         return self.phi0[a]

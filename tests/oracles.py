@@ -8,7 +8,71 @@ a second opinion. Size guards keep the exponential searches honest.
 from fractions import Fraction
 from itertools import product
 
+from groupoids.errors import (
+    AssociativityFailure,
+    CompositionDomainMismatch,
+    DanglingArrowEndpoint,
+    InverseFailure,
+    MissingIdentity,
+)
 from groupoids.gset import coset_gset
+
+
+def check_groupoid(g):
+    """Every groupoid axiom by direct table lookups, raising the first failure.
+
+    Entries are checked in sorted order, missing pairs by scanning all m²
+    arrow pairs, and associativity by three compose lookups per triple.
+    """
+    n, m = g.n_objects, g.n_arrows
+    for a in range(m):
+        if not 0 <= g._src[a] < n:
+            raise DanglingArrowEndpoint("src out of range", arrow=a)
+        if not 0 <= g._tgt[a] < n:
+            raise DanglingArrowEndpoint("tgt out of range", arrow=a)
+    for x in range(n):
+        i = g._identity[x]
+        if not 0 <= i < m:
+            raise MissingIdentity("identity arrow missing", object=x)
+        if g._src[i] != x or g._tgt[i] != x:
+            raise MissingIdentity("identity arrow is not a loop at its object",
+                                  object=x, arrow=i)
+    if len(g._inverse) != m:
+        raise InverseFailure("inverse table size mismatch")
+    for a in range(m):
+        if not 0 <= g._inverse[a] < m:
+            raise InverseFailure("inverse out of range", arrow=a)
+    for (p, q), pq in sorted(g._compose.items()):
+        if not (0 <= p < m and 0 <= q < m and 0 <= pq < m):
+            raise CompositionDomainMismatch("composition entry out of range",
+                                            g=p, h=q)
+        if g._src[p] != g._tgt[q]:
+            raise CompositionDomainMismatch("pair is not composable", g=p, h=q)
+        if g._src[pq] != g._src[q] or g._tgt[pq] != g._tgt[p]:
+            raise CompositionDomainMismatch(
+                "endpoints of gh disagree with g, h", g=p, h=q, gh=pq)
+    for p in range(m):
+        for q in range(m):
+            if g._src[p] == g._tgt[q] and (p, q) not in g._compose:
+                raise CompositionDomainMismatch(
+                    "composable pair missing from table", g=p, h=q)
+    for a in range(m):
+        if g._compose[(a, g._identity[g._src[a]])] != a:
+            raise MissingIdentity("right identity law fails", arrow=a)
+        if g._compose[(g._identity[g._tgt[a]], a)] != a:
+            raise MissingIdentity("left identity law fails", arrow=a)
+    for a in range(m):
+        ai = g._inverse[a]
+        if g._src[ai] != g._tgt[a] or g._tgt[ai] != g._src[a]:
+            raise InverseFailure("inverse endpoints are swapped incorrectly",
+                                 arrow=a)
+        if g._compose[(a, ai)] != g._identity[g._tgt[a]] or \
+           g._compose[(ai, a)] != g._identity[g._src[a]]:
+            raise InverseFailure("g * inverse(g) is not an identity", arrow=a)
+    for (p, q), pq in g._compose.items():
+        for r in g.arrows_into(g._src[q]):
+            if g._compose[(pq, r)] != g._compose[(p, g._compose[(q, r)])]:
+                raise AssociativityFailure("(gh)k != g(hk)", g=p, h=q, k=r)
 
 
 def equivariant_maps(x, y, limit=None):

@@ -259,3 +259,74 @@ def test_output_file_flag(tmp_path, capsys):
                         "--output", str(target))
     assert code == 0 and out == ""
     assert target.read_text().startswith(",")
+
+
+def _validate_record(tmp_path, capsys, mutate):
+    """exit code and error record of `validate` on a broken C2 groupoid file"""
+    data = core.from_group(groups.cyclic(2)).to_json()
+    mutate(data)
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(data))
+    code, out = run_cli(capsys, "validate", str(path))
+    return code, json.loads(out)
+
+
+def test_validate_list_valued_object_label(tmp_path, capsys):
+    def mutate(data):
+        data["objects"] = [["*"]]
+    code, record = _validate_record(tmp_path, capsys, mutate)
+    assert code == 1
+    assert record == {"error": "MalformedInput", "detail": {
+        "message": "labels must be strings or numbers",
+        "key": "objects", "label": ["*"]}}
+
+
+def test_validate_list_valued_arrow_id(tmp_path, capsys):
+    def mutate(data):
+        data["arrows"][1]["id"] = ["1"]
+    code, record = _validate_record(tmp_path, capsys, mutate)
+    assert code == 1
+    assert record["error"] == "MalformedInput"
+    assert record["detail"]["key"] == "arrows"
+    assert record["detail"]["label"] == ["1"]
+
+
+def test_validate_identity_given_as_a_list(tmp_path, capsys):
+    def mutate(data):
+        data["identity"] = ["0"]
+    code, record = _validate_record(tmp_path, capsys, mutate)
+    assert code == 1
+    assert record == {"error": "MalformedInput", "detail": {
+        "message": "wrong JSON type", "key": "identity",
+        "expected": "object"}}
+
+
+def test_validate_compose_given_as_a_non_list(tmp_path, capsys):
+    def mutate(data):
+        data["compose"] = 7
+    code, record = _validate_record(tmp_path, capsys, mutate)
+    assert code == 1
+    assert record["detail"]["key"] == "compose"
+    assert record["detail"]["expected"] == "array"
+
+    def mutate_entry(data):
+        data["compose"][0] = 5
+    code, record = _validate_record(tmp_path, capsys, mutate_entry)
+    assert code == 1
+    assert record["detail"]["message"] == "compose entries are [g, h, gh]"
+
+
+def test_validate_missing_and_unparsable_files(tmp_path, capsys):
+    missing = tmp_path / "nope.json"
+    code, out = run_cli(capsys, "validate", str(missing))
+    assert code == 1
+    assert json.loads(out) == {"error": "MalformedInput", "detail": {
+        "message": "unreadable file", "path": str(missing),
+        "reason": "No such file or directory"}}
+    garbled = tmp_path / "bad.json"
+    garbled.write_text("{not json")
+    code, out = run_cli(capsys, "validate", str(garbled))
+    assert code == 1
+    record = json.loads(out)
+    assert record["detail"]["message"] == "not valid JSON"
+    assert record["detail"]["path"] == str(garbled)

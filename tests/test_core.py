@@ -114,8 +114,9 @@ def test_validate_rejects_broken_associativity():
     assert table[("1", "1")] == "2"
     table[("1", "1")] = "1"
     data["compose"] = [[a, b, c] for (a, b), c in table.items()]
-    with pytest.raises(errors.AssociativityFailure):
+    with pytest.raises(errors.AssociativityFailure) as info:
         core.validate(data)
+    assert info.value.detail == {"g": 1, "h": 1, "k": 2}
 
 
 def test_compose_domain_mismatch(pair3):
@@ -223,3 +224,113 @@ def test_composition_associative_on_samples(seed):
         rs = g.arrows_into(g.src(q))
         r = rng.choice(rs)
         assert g.compose(g.compose(p, q), r) == g.compose(p, g.compose(q, r))
+
+
+def _mutated(rng, kind):
+    """A random groupoid with one table corrupted, built without checking."""
+    _, g = generate.random_groupoid(rng, max_arrows=120, max_isotropy=8)
+    m = g.n_arrows
+    compose, inverse = dict(g._compose), list(g._inverse)
+
+    def overwrite():
+        g_, h_ = key = rng.choice(sorted(compose))
+        if rng.random() < 0.5:  # keep the endpoints right: a subtler fault
+            compose[key] = rng.choice(g.hom(g.src(h_), g.tgt(g_)))
+        else:
+            compose[key] = rng.randrange(-1, m + 1)
+
+    if kind == "overwrite":
+        overwrite()
+    elif kind == "two overwrites":
+        overwrite()
+        overwrite()
+    elif kind == "delete":
+        del compose[rng.choice(sorted(compose))]
+    elif kind == "inverse":
+        inverse[rng.randrange(m)] = rng.randrange(m)
+    return core.FiniteGroupoid(g._src, g._tgt, g._identity, inverse, compose,
+                               check=False)
+
+
+def _record(check):
+    try:
+        check()
+    except errors.GroupoidError as ex:
+        return ex.record()
+    return None
+
+
+MUTATIONS = ("overwrite", "two overwrites", "delete", "inverse")
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000), st.sampled_from(MUTATIONS))
+def test_validation_matches_the_oracle_on_mutated_tables(seed, kind):
+    import oracles
+    from random import Random
+    g = _mutated(Random(seed), kind)
+    assert _record(g.validated) == _record(lambda: oracles.check_groupoid(g))
+
+
+def test_mutations_reach_every_kind_of_validation_failure():
+    from random import Random
+    seen = set()
+    for seed in range(40):
+        for kind in MUTATIONS:
+            record = _record(_mutated(Random(seed), kind).validated)
+            if record is not None:
+                seen.add((record["error"], record["detail"]["message"]))
+    assert {name for name, _ in seen} == {
+        "AssociativityFailure", "CompositionDomainMismatch",
+        "InverseFailure", "MissingIdentity"}
+    assert ("CompositionDomainMismatch",
+            "composable pair missing from table") in seen
+    assert ("CompositionDomainMismatch",
+            "composition entry out of range") in seen
+
+
+def test_validate_reports_the_first_missing_pair():
+    # C3 with 2·1 and 1·2 deleted: the first hole in (g, h) order is (1, 2)
+    data = core.from_group(groups.cyclic(3)).to_json()
+    data["compose"] = [e for e in data["compose"]
+                       if (e[0], e[1]) not in {("2", "1"), ("1", "2")}]
+    with pytest.raises(errors.CompositionDomainMismatch) as info:
+        core.validate(data)
+    assert info.value.record() == {
+        "error": "CompositionDomainMismatch",
+        "detail": {"message": "composable pair missing from table",
+                   "g": 1, "h": 2}}
+
+
+def test_validate_reports_the_least_bad_compose_entry():
+    # two bad entries, inserted after the sound ones: (1, 3) is reported,
+    # the least failing key, not (5, 7), the first one in table order
+    g = core.pair_groupoid(3)
+    compose = dict(g._compose)
+    compose[(5, 7)] = 99
+    compose[(1, 3)] = 8
+    bad = core.FiniteGroupoid(g._src, g._tgt, g._identity, g._inverse,
+                              compose, check=False)
+    with pytest.raises(errors.CompositionDomainMismatch) as info:
+        bad.validated()
+    assert info.value.detail == {"g": 1, "h": 3, "gh": 8}
+
+
+def test_subgroupoid_reports_the_first_open_composition(pair3):
+    # identities, (0,1), (1,0), (1,2), (2,1): closed under inverse, but
+    # (0,1)(1,2) = (0,2) is missing; arrow a*3+b is (a,b)
+    with pytest.raises(errors.NotASubgroupoid) as info:
+        core.Subgroupoid(pair3, [0, 1, 2], [0, 4, 8, 1, 3, 5, 7])
+    assert info.value.detail == {"g": 1, "h": 5}
+
+
+def test_morphism_reports_the_first_broken_composition(s3_two_objects):
+    # swap the images of two loops at object 1; the first broken pair
+    # (in g, then h order) has a non-loop g
+    g = s3_two_objects
+    a, b = g.loops(1)[1], g.loops(1)[2]
+    phi1 = list(range(g.n_arrows))
+    phi1[a], phi1[b] = phi1[b], phi1[a]
+    with pytest.raises(errors.CompositionNotPreserved) as info:
+        core.validate_morphism(g, g, [0, 1], phi1)
+    assert info.value.detail == {"g": 1, "h": 15}
