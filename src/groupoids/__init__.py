@@ -50,7 +50,6 @@ from .ghost import (
     ghost_apply,
     idempotents_json,
     primitive_idempotents,
-    solve_lower_triangular,
     verify_idempotents,
 )
 from .groups import Group, cyclic, dihedral4, direct_product, named, quaternion8, symmetric3

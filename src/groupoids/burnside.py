@@ -8,11 +8,14 @@ cone of componentwise nonnegative vectors and the ring its formal
 difference completion, which coincides with plain integer vectors because
 the rig is cancellative (the table of marks is invertible over Q).
 
-Multiplication goes through structure constants: the product of two basis
-cosets is materialized as a fibered product and decomposed again. A
-groupoid morphism induces a ring homomorphism the other way (pull back a
-G-set, decompose over the source), and for a disconnected groupoid the
-ring splits as a product of one-object Burnside rings, one per component.
+Multiplication goes through the ghost map: the table of marks M sends an
+element to its fixed point counts, an injective ring map into Z^r with the
+pointwise product, so a·b = M⁻¹(Ma ⊙ Mb), solved exactly block by block.
+The structure constants are the products of basis cosets, checked to be
+integers. A groupoid morphism induces a ring homomorphism the other way
+(pull back a G-set, decompose over the source), and for a disconnected
+groupoid the ring splits as a product of one-object Burnside rings, one
+per component.
 
 A generic difference-pair construction is included for rigs that are not
 known to be cancellative; equality of pairs then needs a shifted witness
@@ -22,10 +25,11 @@ and is only decidable over a finite search universe.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from .core import FiniteGroupoid, GroupoidMorphism, OneObjectSubgroupoid, from_group
 from .errors import DecompositionMismatch, TableMismatch, UndecidableEquality
-from .gset import RightGSet, coset_gset, decompose, fibered_product, unit_gset
+from .gset import RightGSet, coset_gset, decompose, unit_gset
 from .subconj import (
     DEFAULT_ISOTROPY_CAP,
     conjugated_isotropy_subgroups,
@@ -71,24 +75,20 @@ class BurnsideElement:
 
 
 class BurnsideRing:
-    """Basis, structure constants, and arithmetic for one groupoid."""
+    """Basis and arithmetic for one groupoid, through its table of marks."""
 
     def __init__(self, g: FiniteGroupoid, cap=DEFAULT_ISOTROPY_CAP):
         self.groupoid = g
         self.cap = cap
         self.reps = tuple(enumerate_reps(g, cap=cap))
         self.labels = tuple(rep_label(g, r) for r in self.reps)
-        self._cosets = [None] * len(self.reps)
-        self._cube = {}
 
     @property
     def rank(self):
         return len(self.reps)
 
     def coset(self, i) -> RightGSet:
-        if self._cosets[i] is None:
-            self._cosets[i] = coset_gset(self.groupoid, self.reps[i])
-        return self._cosets[i]
+        return coset_gset(self.groupoid, self.reps[i])
 
     def element(self, coeffs) -> BurnsideElement:
         coeffs = tuple(coeffs)
@@ -111,23 +111,16 @@ class BurnsideRing:
 
     def structure_constants(self, i, j):
         """Decomposition vector of the product of basis cosets i and j."""
-        key = (min(i, j), max(i, j))
-        if key not in self._cube:
-            prod = fibered_product(self.coset(key[0]), self.coset(key[1]))
-            self._cube[key] = decompose(prod, self.reps).coefficients
-        return self._cube[key]
+        coeffs = self.mul(self.basis(i), self.basis(j)).coeffs
+        if any(type(c) is not int for c in coeffs):
+            raise DecompositionMismatch("structure constant is not an integer",
+                                        i=i, j=j)
+        return coeffs
 
     def mul(self, a: BurnsideElement, b: BurnsideElement) -> BurnsideElement:
-        out = [0] * self.rank
-        for i, ai in enumerate(a.coeffs):
-            if not ai:
-                continue
-            for j, bj in enumerate(b.coeffs):
-                if not bj:
-                    continue
-                for k, c in enumerate(self.structure_constants(i, j)):
-                    out[k] += ai * bj * c
-        return self.element(out)
+        table = self.mark_table()
+        return self.element(table.solve(tuple(map(
+            mul, table.ghost(a.coeffs), table.ghost(b.coeffs)))))
 
     def mark_table(self):
         return mark_table(self.groupoid, self.cap)
@@ -157,7 +150,7 @@ class BurnsideRing:
                      for k, c in enumerate(vec) if c]
             return " + ".join(terms) if terms else "0"
 
-        width = max(len(n) for n in names)
+        width = max(map(len, names), default=0)
         cells = [[combo(self.structure_constants(i, j))
                   for j in range(self.rank)] for i in range(self.rank)]
         colw = [max([len(names[j])] + [len(cells[i][j])
@@ -296,18 +289,12 @@ def product_decomposition(ring: BurnsideRing) -> ProductDecomposition:
             raise DecompositionMismatch("basis match is not a bijection",
                                         factor=ci)
     parent_marks = ring.mark_table().matrix
-    for ci, factor in enumerate(factors):
-        fm = factor.mark_table().matrix
-        for i, (c1, k1) in matched.items():
-            if c1 != ci:
-                continue
-            for j, (c2, k2) in matched.items():
-                if c2 != ci:
-                    continue
-                if parent_marks[i][j] != fm[k1][k2]:
-                    raise DecompositionMismatch(
-                        "mark tables disagree after matching",
-                        row=i, column=j)
+    factor_marks = [factor.mark_table().matrix for factor in factors]
+    for i, (c1, k1) in matched.items():
+        for j, (c2, k2) in matched.items():
+            if c1 == c2 and parent_marks[i][j] != factor_marks[c1][k1][k2]:
+                raise DecompositionMismatch(
+                    "mark tables disagree after matching", row=i, column=j)
     index_maps = tuple(matched[i] for i in range(ring.rank))
     return ProductDecomposition(ring, tuple(factors), tuple(base_objects),
                                 index_maps)

@@ -61,8 +61,12 @@ def _groupoid_from_args(args) -> core.FiniteGroupoid:
 
 def _emit(args, text: str):
     if getattr(args, "output", None):
-        with open(args.output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text)
+        except OSError as ex:
+            raise MalformedInput("unwritable file", path=args.output,
+                                 reason=ex.strerror) from None
     else:
         sys.stdout.write(text)
 
@@ -72,7 +76,7 @@ def _fmt(args, default):
 
 
 def _matrix_pretty(labels, matrix, extra=()):
-    width = max(len(str(lab)) for lab in labels)
+    width = max((len(str(lab)) for lab in labels), default=0)
     cols = [max([len(str(labels[j]))] + [len(str(row[j])) for row in matrix])
             for j in range(len(labels))]
     lines = [" " * width + "  " + "  ".join(
@@ -278,9 +282,12 @@ def _cmd_grothendieck_demo(args):
     for _ in range(100):
         a, b, c, d = (rng.randrange(50) for _ in range(4))
         p, q = ints.pair(a, b), ints.pair(c, d)
-        assert ints.eq(ints.add(p, q), ints.pair(a + c, b + d))
-        assert ints.eq(ints.mul(p, q), ints.pair(a * c + b * d, a * d + b * c))
-        assert ints.eq(p, q) == ((a - b) == (c - d))
+        if not (ints.eq(ints.add(p, q), ints.pair(a + c, b + d))
+                and ints.eq(ints.mul(p, q),
+                            ints.pair(a * c + b * d, a * d + b * c))
+                and ints.eq(p, q) == ((a - b) == (c - d))):
+            raise GroupoidError("difference pairs disagree with the integers",
+                                pairs=[[a, b], [c, d]])
         tested += 1
     def pairadd(u, v):
         return (u[0] + v[0], u[1] + v[1])
@@ -410,14 +417,13 @@ def run(argv=None) -> int:
     except SystemExit as ex:
         return 2 if ex.code else 0
     try:
-        text = args.func(args)
+        _emit(args, args.func(args))
     except _UsageError as ex:
         print("usage error: %s" % ex, file=sys.stderr)
         return 2
     except GroupoidError as ex:
         sys.stdout.write(_json_text(ex.record()))
         return 1
-    _emit(args, text)
     return 0
 
 

@@ -454,12 +454,6 @@ class IsotropyGroup:
     def identity_arrow(self):
         return self.groupoid.identity(self.base)
 
-    def mult(self, g, h):
-        return self.groupoid.compose(g, h)
-
-    def inv(self, g):
-        return self.groupoid.inverse(g)
-
     def as_group(self):
         """Abstract Cayley table plus the arrow listed at each element index."""
         ident = self.identity_arrow
@@ -520,15 +514,6 @@ class Subgroupoid:
     def hom(self, a, b):
         p = self.parent
         return tuple(g for g in p.hom(a, b) if g in self._arrow_set)
-
-    def contains_arrow(self, g):
-        return g in self._arrow_set
-
-    def is_one_object(self):
-        return len(self.objects) == 1
-
-    def isotropy_arrows(self, a):
-        return self.hom(a, a)
 
     def to_json(self):
         p = self.parent
@@ -631,12 +616,6 @@ class GroupoidMorphism:
                    t.compose(self.phi1[g], self.phi1[h]):
                     raise CompositionNotPreserved("phi1(gh) != phi1(g)phi1(h)",
                                                   g=g, h=h)
-
-    def apply_object(self, a):
-        return self.phi0[a]
-
-    def apply_arrow(self, g):
-        return self.phi1[g]
 
     def then(self, other: "GroupoidMorphism") -> "GroupoidMorphism":
         """other o self (self first); target of self must be source of other."""

@@ -3,12 +3,11 @@
 The ghost map sends a virtual G-set to its vector of fixed point counts,
 one per conjugacy class of one-object subgroupoids; its matrix in the
 coset basis is the table of marks, `BurnsideRing.mark_table()`, built at
-the ring's cap and memoized on the groupoid. Since the produced class
-ordering makes that matrix block diagonal over components with lower
-triangular, nonzero-diagonal blocks, the map is injective (the table's
-`det()` is nonzero) and the linear systems defining the primitive
-idempotents of Q tensor B(G) are solved exactly by forward substitution
-over Fraction.
+the ring's cap and memoized on the groupoid. The table owns both
+directions: `MarkTable.ghost` applies the map and `MarkTable.solve`
+inverts it by exact forward substitution inside each component block.
+The primitive idempotents of Q tensor B(G) are the preimages of the
+standard basis vectors of the ghost ring.
 """
 
 from __future__ import annotations
@@ -16,60 +15,41 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .burnside import BurnsideElement, BurnsideRing
-from .errors import SingularMatrix, TableMismatch
+from .errors import TableMismatch
+from .subconj import MarkTable
 
 
 def ghost_apply(ring: BurnsideRing, elem: BurnsideElement):
     """Fixed point counts of a (virtual) G-set, per subgroupoid class."""
     if elem.ring is not ring:
         raise TableMismatch("element of a different Burnside ring")
-    matrix = ring.mark_table().matrix
-    return tuple(sum(matrix[i][k] * c for k, c in enumerate(elem.coeffs))
-                 for i in range(ring.rank))
+    return ring.mark_table().ghost(elem.coeffs)
 
 
 def solve_lower_triangular(matrix, rhs):
-    """Exact forward substitution; the matrix must be lower triangular."""
-    n = len(matrix)
-    out = []
-    for i in range(n):
-        if matrix[i][i] == 0:
-            raise SingularMatrix("zero pivot in triangular solve", row=i)
-        acc = Fraction(rhs[i])
-        for j in range(i):
-            acc -= Fraction(matrix[i][j]) * out[j]
-        out.append(acc / Fraction(matrix[i][i]))
-    return tuple(out)
+    """M⁻¹·rhs for one lower triangular block; the package uses MarkTable.solve."""
+    return MarkTable(None, (), matrix, (), (0,) * len(matrix)).solve(rhs)
 
 
 def primitive_idempotents(ring: BurnsideRing):
     """One idempotent per basis class: the preimages of the ghost basis.
 
-    Returns BurnsideElements with Fraction coefficients, ordered like the
-    basis; their ghost vectors are the standard basis vectors, so they are
-    orthogonal, idempotent, and sum to one.
+    Returns BurnsideElements ordered like the basis, with int or Fraction
+    coefficients; their ghost vectors are the standard basis vectors, so
+    they are orthogonal, idempotent, and sum to one.
     """
-    matrix = ring.mark_table().matrix
-    idems = []
-    for i in range(ring.rank):
-        rhs = [int(i == j) for j in range(ring.rank)]
-        idems.append(BurnsideElement(ring, solve_lower_triangular(matrix, rhs)))
-    return idems
+    table = ring.mark_table()
+    return [ring.element(table.solve([int(i == j) for j in range(ring.rank)]))
+            for i in range(ring.rank)]
 
 
 def verify_idempotents(ring: BurnsideRing, idems) -> bool:
     """Check e_i e_j = delta_ij e_i and sum e_i = 1 with exact arithmetic."""
-    for i, ei in enumerate(idems):
-        for j, ej in enumerate(idems):
-            prod = ring.mul(ei, ej)
-            want = ei.coeffs if i == j else (0,) * ring.rank
-            if tuple(map(Fraction, prod.coeffs)) != tuple(map(Fraction, want)):
-                return False
-    total = [Fraction(0)] * ring.rank
-    for e in idems:
-        for k, c in enumerate(e.coeffs):
-            total[k] += Fraction(c)
-    return tuple(total) == tuple(map(Fraction, ring.one().coeffs))
+    zero = ring.zero().coeffs
+    return (all(ring.mul(ei, ej).coeffs == (ei.coeffs if i == j else zero)
+                for i, ei in enumerate(idems) for j, ej in enumerate(idems))
+            and tuple(map(sum, zip(*(e.coeffs for e in idems))))
+            == ring.one().coeffs)
 
 
 def idempotents_json(ring: BurnsideRing, idems):

@@ -80,8 +80,7 @@ def from_permutations(gens, degree, name="G"):
                     els.add(q)
                     new.append(q)
         frontier = new
-    order = sorted(els)
-    assert order[0] == idem
+    order = sorted(els)  # the identity is least, so it gets index 0
     index = {p: i for i, p in enumerate(order)}
     table = [[index[_perm_mul(p, q)] for q in order] for p in order]
     names = ["".join(map(str, p)) if degree <= 10 else str(i)

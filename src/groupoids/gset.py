@@ -19,10 +19,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (
+    _JSON_TYPES,
+    _MISSING,
     FiniteGroupoid,
     GroupoidMorphism,
     OneObjectSubgroupoid,
     Subgroupoid,
+    _dict_get,
+    _label,
 )
 from .errors import (
     ActionDomainGap,
@@ -164,24 +168,28 @@ def validate_gset(data, g: FiniteGroupoid) -> RightGSet:
     """Check raw G-set data (JSON shape) against a groupoid."""
     if not isinstance(data, dict):
         raise MalformedInput("gset data must be a mapping")
-    for key in ("elements", "sigma", "action"):
+    for key, kind in (("elements", "array"), ("sigma", "object"),
+                      ("action", "array")):
         if key not in data:
             raise MalformedInput("missing key", key=key)
-    labels = list(data["elements"])
+        if not isinstance(data[key], _JSON_TYPES[kind]):
+            raise MalformedInput("wrong JSON type", key=key, expected=kind)
+    labels = [_label(lab, "elements") for lab in data["elements"]]
     elem_index = {lab: i for i, lab in enumerate(labels)}
     if len(elem_index) != len(labels):
         raise MalformedInput("duplicate element labels")
     sigma = []
     for lab in labels:
-        target = data["sigma"].get(lab, data["sigma"].get(str(lab)))
-        if target is None:
+        target = _dict_get(data["sigma"], lab)
+        if target is _MISSING or target is None:
             raise StructureMapViolation("no sigma value for element", element=lab)
-        sigma.append(g.object_index(target))
+        sigma.append(g.object_index(_label(target, "sigma")))
     action = {}
     for entry in data["action"]:
-        if len(entry) != 3:
-            raise MalformedInput("action entries are [x, g, xg]", entry=entry)
-        x, p, y = entry
+        if not isinstance(entry, _JSON_TYPES["array"]) or len(entry) != 3:
+            raise MalformedInput("action entries are [x, g, xg]", key="action",
+                                 entry=entry)
+        x, p, y = (_label(v, "action") for v in entry)
         if x not in elem_index or y not in elem_index:
             raise UnknownElement("action entry names unknown element", entry=entry)
         action[(elem_index[x], g.arrow_index(p))] = elem_index[y]
@@ -415,7 +423,7 @@ def isomorphic(x: RightGSet, y: RightGSet):
         for h in reps:
             if len(fixed_points(x, h)) != len(fixed_points(y, h)):
                 return False, h
-        raise AssertionError("decompositions differ but all marks agree")
+        raise DecompositionMismatch("decompositions differ but all marks agree")
     # pair up orbits class by class and transport each one along a witness d
     by_class_y = {}
     for orbit in y.orbits():
@@ -430,7 +438,10 @@ def isomorphic(x: RightGSet, y: RightGSet):
         f = by_class_y[k].pop(0)
         stab_y = y.stabilizer(f)
         ok, d = conjugated_isotropy_subgroups(stab_x, stab_y)
-        assert ok, "paired orbits must have conjugated stabilizers"
+        if not ok:
+            raise DecompositionMismatch(
+                "paired orbits have stabilizers that are not conjugated",
+                element=e, partner=f)
         # f·(d g) is well defined on e·g since d Stab(e) d^{-1} = Stab(f)
         for p in g.arrows_into(x.sigma[e]):
             mapping[x.action[(e, p)]] = y.action[(f, g.compose(d, p))]
@@ -500,6 +511,12 @@ def induced_transformation(alpha, phi: GroupoidMorphism, psi: GroupoidMorphism,
     return EquivariantMap(dom, cod, mapping, check=True)
 
 
+def _bijection(witness: EquivariantMap) -> EquivariantMap:
+    if not witness.is_bijection():
+        raise MalformedInput("witness is not a bijection")
+    return witness
+
+
 def induction_union_witness(phi: GroupoidMorphism, x: RightGSet,
                             y: RightGSet) -> EquivariantMap:
     """Validated bijection pulling back a disjoint union termwise."""
@@ -511,9 +528,7 @@ def induction_union_witness(phi: GroupoidMorphism, x: RightGSet,
     offset = len(left)
     mapping = [left[(e, a)] if e < x.size else offset + right[(e - x.size, a)]
                for (e, a) in pairs]
-    witness = EquivariantMap(dom, cod, mapping, check=True)
-    assert witness.is_bijection()
-    return witness
+    return _bijection(EquivariantMap(dom, cod, mapping, check=True))
 
 
 def induction_product_witness(phi: GroupoidMorphism, x: RightGSet,
@@ -533,6 +548,4 @@ def induction_product_witness(phi: GroupoidMorphism, x: RightGSet,
     for (k, a) in dom_pairs:
         i, j = inner_pairs[k]
         mapping.append(cod_index[(x_index[(i, a)], y_index[(j, a)])])
-    witness = EquivariantMap(dom, cod, mapping, check=True)
-    assert witness.is_bijection()
-    return witness
+    return _bijection(EquivariantMap(dom, cod, mapping, check=True))

@@ -19,12 +19,17 @@ components with lower triangular, nonzero-diagonal blocks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import cached_property
+from math import prod
+from operator import mul
 
 from .core import FiniteGroupoid, OneObjectSubgroupoid, Subgroupoid
 from .errors import (
     GroupoidMismatch,
     IsotropyTooLarge,
     SearchBudgetExceeded,
+    SingularMatrix,
     TriangularityViolation,
 )
 from .gset import coset_gset, fixed_points
@@ -230,18 +235,48 @@ def conjugacy_witness_json(g: FiniteGroupoid, witness):
 
 @dataclass(frozen=True)
 class MarkTable:
+    """The ghost map M and its inverse over one class ordering.
+
+    `components` gives each row's component; rows of a component are
+    contiguous and form one lower triangular block, so M·a and M⁻¹·v only
+    read a row's own block, up to the diagonal.
+    """
     groupoid: FiniteGroupoid
     reps: tuple
     matrix: tuple
     labels: tuple
     components: tuple
 
+    @cached_property
+    def _block_starts(self):
+        # index of the first row of each row's block
+        return [self.components.index(c) for c in self.components]
+
+    def ghost(self, coeffs) -> tuple:
+        """M·a: the fixed point counts of the element with these coefficients."""
+        return tuple(sum(map(mul, row[s:i + 1], coeffs[s:i + 1]))
+                     for i, (row, s) in enumerate(zip(self.matrix,
+                                                      self._block_starts)))
+
+    def solve(self, ghost) -> tuple:
+        """M⁻¹·v by exact forward substitution inside each block.
+
+        Integral entries come back as int, the others as Fraction; a zero
+        pivot raises SingularMatrix.
+        """
+        out = []
+        for i, (row, s) in enumerate(zip(self.matrix, self._block_starts)):
+            pivot = row[i]
+            if not pivot:
+                raise SingularMatrix("zero pivot in triangular solve", row=i)
+            acc = ghost[i] - sum(map(mul, row[s:i], out[s:i]))
+            q, r = divmod(acc, pivot)
+            out.append(Fraction(acc) / pivot if r else int(q))
+        return tuple(out)
+
     def det(self) -> int:
         """Exact determinant: the diagonal product of a triangular matrix."""
-        out = 1
-        for i in range(len(self.reps)):
-            out *= self.matrix[i][i]
-        return out
+        return prod(row[i] for i, row in enumerate(self.matrix))
 
     def to_json(self):
         return {

@@ -15,7 +15,7 @@ from groupoids.errors import (
     InverseFailure,
     MissingIdentity,
 )
-from groupoids.gset import coset_gset
+from groupoids.gset import coset_gset, decompose, fibered_product
 
 
 def check_groupoid(g):
@@ -229,3 +229,68 @@ def det_gauss(matrix):
             if factor:
                 m[r] = [v - factor * w for v, w in zip(m[r], m[col])]
     return det
+
+
+def structure_constants(ring, i, j):
+    """Product of basis cosets i and j as a fibered product, decomposed."""
+    return decompose(fibered_product(ring.coset(i), ring.coset(j)),
+                     ring.reps).coefficients
+
+
+def _subgroups(group):
+    """Every subgroup, grown from the trivial one by adjoining elements."""
+    def closure(gens):
+        els = {0}
+        frontier = [0]
+        while frontier:
+            fresh = [group.mul(a, x) for a in frontier for x in gens]
+            frontier = [c for c in set(fresh) if c not in els]
+            els.update(frontier)
+        return frozenset(els)
+
+    found = {frozenset({0})}
+    frontier = list(found)
+    while frontier:
+        fresh = {closure(sub | {x}) for sub in frontier
+                 for x in range(group.n) if x not in sub}
+        frontier = [sub for sub in fresh if sub not in found]
+        found.update(frontier)
+    return found
+
+
+def gluck_idempotents(ring):
+    """Primitive idempotents by Gluck's formula, component by component.
+
+    On the isotropy group G at each component's base object,
+    e_H = (1/|N(H)|) sum_{K <= H} |K| mu(K, H) [G/K], with mu the Moebius
+    function of the subgroup lattice (D. Gluck, Illinois J. Math. 25,
+    1981). Uses subgroups, normalizers and conjugation only, never marks.
+    Returns coefficient vectors ordered like ring.reps.
+    """
+    g = ring.groupoid
+    out = []
+    for rep in ring.reps:
+        group, arrow_at = g.isotropy(rep.base).as_group()
+        index = {arr: x for x, arr in enumerate(arrow_at)}
+        subs = _subgroups(group)
+
+        def conjugate(sub, x):
+            return frozenset(group.mul(group.mul(x, k), group.inv(x))
+                             for k in sub)
+
+        def class_index(sub):
+            return next(i for i, r in enumerate(ring.reps) if r.base == rep.base
+                        and any(conjugate(sub, x) == frozenset(
+                            index[a] for a in r.arrows)
+                            for x in range(group.n)))
+
+        h = frozenset(index[a] for a in rep.arrows)
+        mu = {h: 1}
+        for k in sorted((s for s in subs if s < h), key=len, reverse=True):
+            mu[k] = -sum(mu[m] for m in mu if k < m)
+        normalizer = sum(1 for x in range(group.n) if conjugate(h, x) == h)
+        coeffs = [Fraction(0)] * ring.rank
+        for k, m in mu.items():
+            coeffs[class_index(k)] += Fraction(len(k) * m, normalizer)
+        out.append(tuple(coeffs))
+    return out

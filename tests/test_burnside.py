@@ -1,5 +1,7 @@
+from fractions import Fraction
 from random import Random
 
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,6 +33,38 @@ def test_structure_constants_symmetric(s3_ring):
         for j in range(s3_ring.rank):
             assert s3_ring.structure_constants(i, j) == \
                 s3_ring.structure_constants(j, i)
+
+
+def _oracle_suite():
+    rng = Random(40904)
+    suite = [generate.from_spec(spec) for spec in
+             ("trg:S3:2", "trg:D4:1", "coprod:trg:Q8:1,trg:C6:1,pair:2")]
+    seen = set()
+    while len(suite) < 23:
+        spec, g = generate.random_groupoid(rng, max_arrows=200,
+                                           max_isotropy=12)
+        if spec not in seen:
+            seen.add(spec)
+            suite.append(g)
+    return suite
+
+
+def test_structure_constants_match_fibered_products():
+    for g in _oracle_suite():
+        ring = burnside.BurnsideRing(g)
+        for i in range(ring.rank):
+            for j in range(i, ring.rank):
+                assert ring.structure_constants(i, j) == \
+                    oracles.structure_constants(ring, i, j)
+
+
+def test_non_integral_structure_constant_raises(s3_ring, monkeypatch):
+    table = s3_ring.mark_table()
+    monkeypatch.setattr(type(table), "solve",
+                        lambda self, v: (Fraction(1, 2),) + tuple(v[1:]))
+    with pytest.raises(errors.DecompositionMismatch) as info:
+        s3_ring.structure_constants(1, 2)
+    assert info.value.detail == {"i": 1, "j": 2}
 
 
 def test_from_gset_is_additive_and_multiplicative(s3_two_objects):

@@ -330,3 +330,68 @@ def test_validate_missing_and_unparsable_files(tmp_path, capsys):
     record = json.loads(out)
     assert record["detail"]["message"] == "not valid JSON"
     assert record["detail"]["path"] == str(garbled)
+
+
+def _gset_record(tmp_path, capsys, mutate):
+    """exit code and error record of `gset validate` on a broken C2-set file"""
+    g = from_spec("trg:C2:1")
+    data = gset.regular_gset(g).to_json()
+    mutate(data)
+    gp, xp = tmp_path / "g.json", tmp_path / "x.json"
+    gp.write_text(json.dumps(g.to_json()))
+    xp.write_text(json.dumps(data))
+    code, out = run_cli(capsys, "gset", "validate", str(xp),
+                        "--groupoid", str(gp))
+    return code, json.loads(out)
+
+
+def test_gset_validate_rejects_wrong_json_types(tmp_path, capsys):
+    for key, bad, expected in (("elements", {"0": 0}, "array"),
+                               ("sigma", ["0", "0"], "object"),
+                               ("action", 3, "array")):
+        def mutate(data):
+            data[key] = bad
+        code, record = _gset_record(tmp_path, capsys, mutate)
+        assert code == 1
+        assert record == {"error": "MalformedInput", "detail": {
+            "message": "wrong JSON type", "key": key, "expected": expected}}
+
+
+def test_gset_validate_rejects_malformed_action_entries(tmp_path, capsys):
+    def mutate(data):
+        data["action"][0] = "abc"
+    code, record = _gset_record(tmp_path, capsys, mutate)
+    assert code == 1
+    assert record == {"error": "MalformedInput", "detail": {
+        "message": "action entries are [x, g, xg]", "key": "action",
+        "entry": "abc"}}
+
+    def mutate_label(data):
+        data["action"][0][1] = [0]
+    code, record = _gset_record(tmp_path, capsys, mutate_label)
+    assert code == 1
+    assert record["detail"]["key"] == "action"
+
+
+def test_empty_groupoid_ring(capsys):
+    code, out = run_cli(capsys, "ring", "--gen", "trg:S3:0")
+    assert code == 0
+    assert out == "legend: \n | \n-+-\n"
+    code, out = run_cli(capsys, "ring", "--gen", "trg:S3:0", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"basis": [], "one": [],
+                               "structure_constants": []}
+    code, out = run_cli(capsys, "marks", "--gen", "trg:S3:0",
+                        "--format", "pretty")
+    assert code == 0 and out == "  \ndet = 1\n"
+
+
+def test_unwritable_output_file(tmp_path, capsys):
+    target = tmp_path / "missing" / "out.json"
+    code, out = run_cli(capsys, "validate", "--gen", "pair:2",
+                        "-o", str(target))
+    assert code == 1
+    assert json.loads(out) == {"error": "MalformedInput", "detail": {
+        "message": "unwritable file", "path": str(target),
+        "reason": "No such file or directory"}}
+    assert not target.parent.exists()

@@ -1,4 +1,6 @@
+import ast
 import json
+import pathlib
 
 import pytest
 from hypothesis import given, settings
@@ -334,3 +336,13 @@ def test_morphism_reports_the_first_broken_composition(s3_two_objects):
     with pytest.raises(errors.CompositionNotPreserved) as info:
         core.validate_morphism(g, g, [0, 1], phi1)
     assert info.value.detail == {"g": 1, "h": 15}
+
+
+def test_no_runtime_asserts_in_the_package():
+    # python -O strips assert statements, so invariants must raise instead
+    package = pathlib.Path(core.__file__).parent
+    found = [(path.name, node.lineno)
+             for path in sorted(package.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupoids import burnside, core, errors, generate, ghost, groups, gset
+from groupoids import burnside, core, errors, generate, ghost, groups, gset, subconj
 
 
 def _ring(g):
@@ -114,19 +114,66 @@ def test_trivial_isotropy_idempotents_are_component_indicators():
     assert [e.coeffs for e in es] == [(1, 0), (0, 1)]
 
 
+def _table(matrix, components):
+    return subconj.MarkTable(None, (), matrix, (), components)
+
+
 def test_solver_rejects_zero_pivot():
-    with pytest.raises(errors.SingularMatrix):
-        ghost.solve_lower_triangular(((1, 0), (5, 0)), (1, 0))
+    with pytest.raises(errors.SingularMatrix) as info:
+        _table(((1, 0), (5, 0)), (0, 0)).solve((1, 0))
+    assert info.value.detail == {"row": 1}
+
+
+def _check_inverse(table):
+    n = len(table.matrix)
+    for i in range(n):
+        rhs = [int(i == j) for j in range(n)]
+        x = table.solve(rhs)
+        assert table.ghost(x) == tuple(rhs)
+        for r in range(n):
+            acc = sum(Fraction(table.matrix[r][c]) * x[c] for c in range(n))
+            assert acc == rhs[r]
 
 
 def test_solver_agrees_with_gauss_inverse():
-    matrix = ((2, 0, 0), (3, 4, 0), (5, 6, 7))
-    for i in range(3):
-        rhs = [int(i == j) for j in range(3)]
-        x = ghost.solve_lower_triangular(matrix, rhs)
-        for r in range(3):
-            acc = sum(Fraction(matrix[r][c]) * x[c] for c in range(3))
-            assert acc == rhs[r]
+    _check_inverse(_table(((2, 0, 0), (3, 4, 0), (5, 6, 7)), (0, 0, 0)))
+
+
+def test_solver_works_block_by_block():
+    table = _table(((2, 0, 0, 0), (2, 1, 0, 0), (0, 0, 3, 0), (0, 0, 3, 1)),
+                   (0, 0, 1, 1))
+    _check_inverse(table)
+    assert table.solve((1, 0, 1, 0)) == (Fraction(1, 2), -1,
+                                         Fraction(1, 3), -1)
+    # a row reads only its own block, so an entry across blocks is not read
+    stray = _table(((2, 0, 0, 0), (2, 1, 0, 0), (7, 0, 3, 0), (0, 0, 3, 1)),
+                   (0, 0, 1, 1))
+    assert stray.solve((2, 3, 3, 5)) == (1, 1, 1, 2)
+    assert stray.ghost((1, 1, 1, 2)) == (2, 3, 3, 5)
+
+
+def test_integral_solutions_stay_int(s3_two_objects):
+    ring = _ring(s3_two_objects)
+    table = ring.mark_table()
+    for j in range(ring.rank):
+        col = table.solve(tuple(row[j] for row in table.matrix))
+        assert col == ring.basis(j).coeffs
+        assert all(type(c) is int for c in col)
+
+
+def test_idempotents_match_gluck_formula():
+    s4 = groups.from_permutations([(1, 0, 2, 3), (1, 2, 3, 0)], 4, name="S4")
+    for g in (core.from_group(groups.symmetric3()),
+              core.from_group(groups.named("D4")),
+              core.from_group(groups.named("Q8")),
+              core.from_group(groups.cyclic(12)),
+              core.from_group(s4),
+              core.coproduct([core.trg(groups.symmetric3(), 2),
+                              core.from_group(groups.named("C2xC2")),
+                              core.pair_groupoid(2)])):
+        ring = _ring(g)
+        es = ghost.primitive_idempotents(ring)
+        assert [e.coeffs for e in es] == oracles.gluck_idempotents(ring)
 
 
 def test_csv_export_contains_labels(s3_groupoid):
