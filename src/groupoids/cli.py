@@ -179,6 +179,13 @@ def _cmd_ghost(args):
     applied = None
     if args.apply:
         coeffs = _read_json(args.apply)
+        if not isinstance(coeffs, list):
+            raise MalformedInput("coefficients must be a JSON array",
+                                 path=args.apply)
+        for i, c in enumerate(coeffs):
+            if type(c) is not int:  # bool is an int subclass, JSON's true
+                raise MalformedInput("coefficients must be integers",
+                                     path=args.apply, index=i)
         elem = ring.element(coeffs)
         applied = ghost.ghost_apply(ring, elem)
     fmt = _fmt(args, "csv")

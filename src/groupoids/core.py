@@ -356,15 +356,20 @@ _SHAPES = (("objects", "array"), ("arrows", "array"), ("identity", "object"),
            ("inverse", "object"), ("compose", "array"))
 
 
-def validate(data) -> FiniteGroupoid:
-    """Check raw groupoid data (the JSON shape) and build a FiniteGroupoid."""
-    if not isinstance(data, dict):
-        raise MalformedInput("groupoid data must be a mapping")
-    for key, kind in _SHAPES:
+def _check_shapes(data, shapes):
+    """Raise MalformedInput naming the first key missing or of a wrong type."""
+    for key, kind in shapes:
         if key not in data:
             raise MalformedInput("missing key", key=key)
         if not isinstance(data[key], _JSON_TYPES[kind]):
             raise MalformedInput("wrong JSON type", key=key, expected=kind)
+
+
+def validate(data) -> FiniteGroupoid:
+    """Check raw groupoid data (the JSON shape) and build a FiniteGroupoid."""
+    if not isinstance(data, dict):
+        raise MalformedInput("groupoid data must be a mapping")
+    _check_shapes(data, _SHAPES)
     object_labels = [_label(lab, "objects") for lab in data["objects"]]
     obj_index = {lab: i for i, lab in enumerate(object_labels)}
     if len(obj_index) != len(object_labels):
@@ -573,8 +578,10 @@ def one_object_subgroupoid(parent, base, arrows) -> OneObjectSubgroupoid:
 def subgroupoid_from_json(parent: FiniteGroupoid, data) -> Subgroupoid:
     if not isinstance(data, dict) or "objects" not in data or "arrows" not in data:
         raise MalformedInput("subgroupoid data needs objects and arrows")
-    objs = [parent.object_index(lab) for lab in data["objects"]]
-    arrs = [parent.arrow_index(lab) for lab in data["arrows"]]
+    _check_shapes(data, (("objects", "array"), ("arrows", "array")))
+    objs = [parent.object_index(_label(lab, "objects"))
+            for lab in data["objects"]]
+    arrs = [parent.arrow_index(_label(lab, "arrows")) for lab in data["arrows"]]
     if len(objs) == 1:
         return OneObjectSubgroupoid(parent, objs[0], arrs, check=True)
     return Subgroupoid(parent, objs, arrs, check=True)

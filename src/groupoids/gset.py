@@ -25,6 +25,7 @@ from .core import (
     GroupoidMorphism,
     OneObjectSubgroupoid,
     Subgroupoid,
+    _check_shapes,
     _dict_get,
     _label,
 )
@@ -168,12 +169,8 @@ def validate_gset(data, g: FiniteGroupoid) -> RightGSet:
     """Check raw G-set data (JSON shape) against a groupoid."""
     if not isinstance(data, dict):
         raise MalformedInput("gset data must be a mapping")
-    for key, kind in (("elements", "array"), ("sigma", "object"),
-                      ("action", "array")):
-        if key not in data:
-            raise MalformedInput("missing key", key=key)
-        if not isinstance(data[key], _JSON_TYPES[kind]):
-            raise MalformedInput("wrong JSON type", key=key, expected=kind)
+    _check_shapes(data, (("elements", "array"), ("sigma", "object"),
+                         ("action", "array")))
     labels = [_label(lab, "elements") for lab in data["elements"]]
     elem_index = {lab: i for i, lab in enumerate(labels)}
     if len(elem_index) != len(labels):

@@ -11,6 +11,14 @@ For one-object subgroupoids the relation reduces to conjugacy of isotropy
 subgroups by a single connecting arrow, and the conjugacy classes of
 one-object subgroupoids are enumerated per connected component from the
 subgroup lattice of the isotropy group at the component's least object.
+That lattice is computed on a dense kernel: the isotropy Cayley table as
+a flat list of ints in ascending arrow order, subgroups as int bitmasks
+closed under their generators only, and the lattice grown from the
+cyclic subgroups by joining each subgroup with each cyclic subgroup it
+does not contain (cyclic extension, as in G. Pfeiffer, "The subgroups of
+M24, or how to compute the table of marks of a finite group",
+Experimental Math. 6, 1997). Classes map masks through a dense
+conjugation table.
 Those classes index the table of marks, whose rows count fixed points on
 coset G-sets; the produced ordering makes the table block diagonal over
 components with lower triangular, nonzero-diagonal blocks.
@@ -40,52 +48,103 @@ DEFAULT_SEARCH_BUDGET = 200_000
 
 # -- subgroup lattices of isotropy groups ----------------------------------
 
-def _loop_closure(g: FiniteGroupoid, base, gens):
-    """Smallest subgroup of the isotropy group at base containing gens."""
-    els = {g.identity(base)}
-    els.update(gens)
-    boundary = sorted(els)
-    while boundary:
+def _cayley(g: FiniteGroupoid, base):
+    """Dense isotropy kernel at base, memoized on the groupoid.
+
+    Loops are indexed in ascending arrow order; the flat table holds
+    t[i*n + j] = index of loops[i] loops[j], and inv[i] the index of the
+    inverse of loops[i].
+    """
+    cached = g._derived.get(("cayley", base))
+    if cached is None:
+        loops = g.loops(base)
+        pos = {a: i for i, a in enumerate(loops)}
+        compose = g._compose
+        table = [pos[compose[a, b]] for a in loops for b in loops]
+        inv = [pos[g.inverse(a)] for a in loops]
+        cached = g._derived[("cayley", base)] = (loops, pos, table, inv)
+    return cached
+
+
+def _bits(mask):
+    """Indices of the set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _join(table, n, h, gens):
+    """Mask of the subgroup generated by subgroup mask h and gens.
+
+    Grows a union of right cosets h*r from h itself: for each coset
+    representative r and generator s, the coset of r*s is added unless
+    r*s is already covered (Dimino's algorithm). gens must include
+    generators of h.
+    """
+    members = _bits(h)
+    mask = h
+    reps = [members[0]]  # any member of h: its coset is h itself
+    for r in reps:
+        row = r * n
+        for s in gens:
+            y = table[row + s]
+            if not mask >> y & 1:
+                reps.append(y)
+                for a in members:
+                    mask |= 1 << table[a * n + y]
+    return mask
+
+
+def _lattice(table, n, e):
+    """Every subgroup mask, mapped to a tuple of generators.
+
+    Starts from the cyclic subgroups and joins each subgroup found with
+    each cyclic subgroup it does not contain, until no join is new
+    (cyclic extension): every subgroup is a join of cyclic subgroups.
+    """
+    cyclic = {}
+    for x in range(n):
+        mask, y = 1 << e, x
+        while y != e:
+            mask |= 1 << y
+            y = table[y * n + x]
+        cyclic.setdefault(mask, x)
+    found = {z: (x,) for z, x in cyclic.items()}
+    frontier = list(found)
+    while frontier:
         fresh = []
-        for a in boundary:
-            for b in sorted(els):
-                for c in (g.compose(a, b), g.compose(b, a)):
-                    if c not in els:
-                        els.add(c)
-                        fresh.append(c)
-        boundary = fresh
-    return frozenset(els)
+        for h in frontier:
+            gens = found[h]
+            for z, x in cyclic.items():
+                if z & ~h:
+                    k = _join(table, n, h, gens + (x,))
+                    if k not in found:
+                        found[k] = gens + (x,)
+                        fresh.append(k)
+        frontier = fresh
+    return found
 
 
 def enumerate_subgroups(g: FiniteGroupoid, base, cap=DEFAULT_ISOTROPY_CAP):
     """All subgroups of the isotropy group at base, as arrow sets.
 
-    Seeds with closures of generating sets of size at most two, then
-    saturates by adjoining single generators until nothing new appears.
+    Built on the dense kernel: subgroups are bitmasks over the flat
+    Cayley table, closed under generators only, and the lattice is grown
+    from the cyclic subgroups by joins. Sorted by order, then by the
+    ascending arrow tuple.
     """
     loops = g.loops(base)
     if len(loops) > cap:
         raise IsotropyTooLarge("isotropy group exceeds the subgroup "
                                "enumeration cap", object=base,
                                order=len(loops), cap=cap)
-    found = {frozenset({g.identity(base)})}
-    for i, a in enumerate(loops):
-        found.add(_loop_closure(g, base, (a,)))
-        for b in loops[i + 1:]:
-            found.add(_loop_closure(g, base, (a, b)))
-    frontier = sorted(found, key=sorted)
-    while frontier:
-        fresh = []
-        for sub in frontier:
-            for x in loops:
-                if x in sub:
-                    continue
-                bigger = _loop_closure(g, base, set(sub) | {x})
-                if bigger not in found:
-                    found.add(bigger)
-                    fresh.append(bigger)
-        frontier = fresh
-    return sorted(found, key=lambda s: (len(s), sorted(s)))
+    loops, pos, table, _ = _cayley(g, base)
+    masks = _lattice(table, len(loops), pos[g.identity(base)])
+    return sorted((frozenset(loops[i] for i in _bits(m)) for m in masks),
+                  key=lambda s: (len(s), sorted(s)))
 
 
 def conjugated_isotropy_subgroups(h: OneObjectSubgroupoid,
@@ -123,22 +182,26 @@ def enumerate_reps(g: FiniteGroupoid, cap=DEFAULT_ISOTROPY_CAP):
     for comp in g.components():
         base = comp[0]
         subgroups = enumerate_subgroups(g, base, cap=cap)
-        loops = g.loops(base)
+        loops, pos, table, inv = _cayley(g, base)
+        n = len(loops)
+        # conj[x*n + i] = index of x i x^-1
+        conj = [table[table[x * n + i] * n + inv[x]]
+                for x in range(n) for i in range(n)]
         classes = []
         seen = set()
         for sub in subgroups:
-            if sub in seen:
+            mask = sum(1 << pos[a] for a in sub)
+            if mask in seen:
                 continue
-            members = set()
-            for d in loops:
-                d_inv = g.inverse(d)
-                members.add(frozenset(g.compose(g.compose(d, arr), d_inv)
-                                      for arr in sub))
-            seen |= members
-            classes.append(min(members, key=sorted))
-        classes.sort(key=lambda s: (-len(s), sorted(s)))
-        reps.extend(OneObjectSubgroupoid(g, base, sorted(s), check=False)
-                    for s in classes)
+            members = _bits(mask)
+            orbit = {sum(1 << conj[x * n + i] for i in members)
+                     for x in range(n)}
+            seen |= orbit
+            classes.append(min(map(_bits, orbit)))
+        classes.sort(key=lambda c: (-len(c), c))
+        reps.extend(OneObjectSubgroupoid(g, base, [loops[i] for i in c],
+                                         check=False)
+                    for c in classes)
     g._derived[("reps", cap)] = reps
     return reps
 

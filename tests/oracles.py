@@ -8,14 +8,17 @@ a second opinion. Size guards keep the exponential searches honest.
 from fractions import Fraction
 from itertools import product
 
+from groupoids.core import OneObjectSubgroupoid
 from groupoids.errors import (
     AssociativityFailure,
     CompositionDomainMismatch,
     DanglingArrowEndpoint,
     InverseFailure,
+    IsotropyTooLarge,
     MissingIdentity,
 )
 from groupoids.gset import coset_gset, decompose, fibered_product
+from groupoids.subconj import DEFAULT_ISOTROPY_CAP
 
 
 def check_groupoid(g):
@@ -149,6 +152,85 @@ def subgroups_bitmask(group):
         if all(mask >> group.mul(a, b) & 1 for a in members for b in members):
             subgroups.append(frozenset(members))
     return subgroups
+
+
+def _loop_closure(g, base, gens):
+    """Smallest subgroup of the isotropy group at base containing gens."""
+    els = {g.identity(base)}
+    els.update(gens)
+    boundary = sorted(els)
+    while boundary:
+        fresh = []
+        for a in boundary:
+            for b in sorted(els):
+                for c in (g.compose(a, b), g.compose(b, a)):
+                    if c not in els:
+                        els.add(c)
+                        fresh.append(c)
+        boundary = fresh
+    return frozenset(els)
+
+
+def subgroups_by_closure(g, base):
+    """All subgroups of the isotropy group at base, as sorted arrow sets.
+
+    Seeds with closures of generating sets of size at most two, then
+    saturates by adjoining single elements until nothing new appears;
+    every closure multiplies on both sides through g.compose.
+    """
+    loops = g.loops(base)
+    found = {frozenset({g.identity(base)})}
+    for i, a in enumerate(loops):
+        found.add(_loop_closure(g, base, (a,)))
+        for b in loops[i + 1:]:
+            found.add(_loop_closure(g, base, (a, b)))
+    frontier = sorted(found, key=sorted)
+    while frontier:
+        fresh = []
+        for sub in frontier:
+            for x in loops:
+                if x in sub:
+                    continue
+                bigger = _loop_closure(g, base, set(sub) | {x})
+                if bigger not in found:
+                    found.add(bigger)
+                    fresh.append(bigger)
+        frontier = fresh
+    return sorted(found, key=lambda s: (len(s), sorted(s)))
+
+
+def class_reps_by_scan(g, cap=DEFAULT_ISOTROPY_CAP):
+    """Conjugacy class representatives, by conjugating each subgroup from
+    subgroups_by_closure by every loop through g.compose.
+
+    Classes come per component, then by decreasing order, then by the
+    least arrow tuple, which is also the representative.
+    """
+    reps = []
+    for comp in g.components():
+        base = comp[0]
+        loops = g.loops(base)
+        if len(loops) > cap:
+            raise IsotropyTooLarge("isotropy group exceeds the subgroup "
+                                   "enumeration cap", object=base,
+                                   order=len(loops), cap=cap)
+        subgroups = subgroups_by_closure(g, base)
+        classes = []
+        seen = set()
+        for sub in subgroups:
+            if sub in seen:
+                continue
+            members = set()
+            for d in loops:
+                d_inv = g.inverse(d)
+                members.add(frozenset(g.compose(g.compose(d, arr), d_inv)
+                                      for arr in sub))
+            seen |= members
+            classes.append(min(members, key=sorted))
+        classes.sort(key=lambda s: (-len(s), sorted(s)))
+        reps.extend(OneObjectSubgroupoid(g, base, sorted(s), check=False)
+                    for s in classes)
+    return reps
 
 
 def generating_set(group):

@@ -395,3 +395,62 @@ def test_unwritable_output_file(tmp_path, capsys):
         "message": "unwritable file", "path": str(target),
         "reason": "No such file or directory"}}
     assert not target.parent.exists()
+
+
+S3_IDENTITY = "(0,012,0)"  # the identity arrow of trg:S3:1
+MALFORMED_SUBGROUPOIDS = (
+    ({"objects": 3, "arrows": [S3_IDENTITY]},
+     {"message": "wrong JSON type", "key": "objects", "expected": "array"}),
+    ({"objects": [0], "arrows": S3_IDENTITY},
+     {"message": "wrong JSON type", "key": "arrows", "expected": "array"}),
+    ({"objects": [[0]], "arrows": [S3_IDENTITY]},
+     {"message": "labels must be strings or numbers", "key": "objects",
+      "label": [0]}),
+    ({"objects": [0], "arrows": [{"id": 0}]},
+     {"message": "labels must be strings or numbers", "key": "arrows",
+      "label": {"id": 0}}),
+)
+
+
+def test_conjugate_rejects_malformed_subgroupoid_files(tmp_path, capsys):
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps({"objects": [0], "arrows": [S3_IDENTITY]}))
+    bad = tmp_path / "bad.json"
+    for data, detail in MALFORMED_SUBGROUPOIDS:
+        bad.write_text(json.dumps(data))
+        for first, second in ((bad, good), (good, bad)):
+            code, out = run_cli(capsys, "conjugate", str(first), str(second),
+                                "--gen", "trg:S3:1")
+            assert code == 1
+            assert json.loads(out) == {"error": "MalformedInput",
+                                       "detail": detail}
+
+
+def test_gset_fixed_rejects_malformed_subgroupoid_files(tmp_path, capsys):
+    xp = tmp_path / "x.json"
+    xp.write_text(json.dumps(gset.regular_gset(from_spec("trg:S3:1")).to_json()))
+    bad = tmp_path / "bad.json"
+    for data, detail in MALFORMED_SUBGROUPOIDS:
+        bad.write_text(json.dumps(data))
+        code, out = run_cli(capsys, "gset", "fixed", str(xp), str(bad),
+                            "--gen", "trg:S3:1")
+        assert code == 1
+        assert json.loads(out) == {"error": "MalformedInput", "detail": detail}
+
+
+def test_ghost_apply_rejects_non_integer_coefficients(tmp_path, capsys):
+    vec = tmp_path / "vec.json"
+    for data, detail in (
+            (["a", "b", "c", "d"],
+             {"message": "coefficients must be integers", "index": 0}),
+            ([1.5, 0, 0, 0],
+             {"message": "coefficients must be integers", "index": 0}),
+            ([1, 0, True, 0],
+             {"message": "coefficients must be integers", "index": 2}),
+            ({"x": 1}, {"message": "coefficients must be a JSON array"})):
+        vec.write_text(json.dumps(data))
+        code, out = run_cli(capsys, "ghost", "--gen", "trg:S3:1",
+                            "--apply", str(vec))
+        assert code == 1
+        assert json.loads(out) == {"error": "MalformedInput",
+                                   "detail": dict(detail, path=str(vec))}

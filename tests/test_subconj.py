@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupoids import core, errors, generate, groups, gset, subconj
+from groupoids import burnside, core, errors, generate, groups, gset, subconj
 
 
 def _loops_to_elements(g, base, arrows):
@@ -30,6 +30,73 @@ def test_subgroup_enumeration_off_the_base_object():
     ours = subconj.enumerate_subgroups(g, base)
     expected = set(oracles.subgroups_bitmask(groups.named("D4")))
     assert {_loops_to_elements(g, base, s) for s in ours} == expected
+
+
+# permutation generators and degree of the groups beyond the catalog
+PERMUTATION_GROUPS = {
+    "A4": ([(1, 2, 0, 3), (0, 2, 3, 1)], 4),
+    "S4": ([(1, 0, 2, 3), (1, 2, 3, 0)], 4),
+    "A5": ([(1, 2, 0, 3, 4), (0, 1, 3, 4, 2)], 5),
+    "S5": ([(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)], 5),
+    "D4xC4": ([(1, 2, 3, 0, 4, 5, 6, 7), (3, 2, 1, 0, 4, 5, 6, 7),
+               (0, 1, 2, 3, 5, 6, 7, 4)], 8),
+}
+
+
+def _permutation_group(name):
+    gens, degree = PERMUTATION_GROUPS[name]
+    return groups.from_permutations(gens, degree, name=name)
+
+
+def _oracle_cases():
+    cases = ["trg:%s:1" % name for name in generate.CATALOG]
+    cases += ["S4", "A4", "D4xC4", "trg:D4:3"]
+    rng = Random(5)
+    while len(cases) < len(generate.CATALOG) + 24:
+        spec, _ = generate.random_groupoid(rng, max_arrows=200,
+                                           max_isotropy=24)
+        if spec not in cases:
+            cases.append(spec)
+    return cases
+
+
+@pytest.mark.parametrize("case", _oracle_cases())
+def test_kernel_matches_the_closure_oracle(case):
+    if case in PERMUTATION_GROUPS:
+        g = core.from_group(_permutation_group(case))
+    else:
+        g = generate.from_spec(case)
+    cap = max([len(g.loops(b)) for b in g.objects()] + [24])
+    for base in g.objects():  # off the component bases too
+        assert subconj.enumerate_subgroups(g, base, cap) == \
+            oracles.subgroups_by_closure(g, base)
+    assert [(r.base, r.arrows, r.order)
+            for r in subconj.enumerate_reps(g, cap)] == \
+        [(r.base, r.arrows, r.order)
+         for r in oracles.class_reps_by_scan(g, cap)]
+
+
+@pytest.mark.parametrize("name, cap, n_subgroups, n_classes", [
+    ("A4", 24, 10, 5), ("S4", 24, 30, 11), ("A5", 60, 59, 9),
+    ("S5", 120, 156, 19), ("D4xC4", 32, None, 47)])
+def test_subgroup_and_class_counts_match_the_literature(name, cap,
+                                                        n_subgroups,
+                                                        n_classes):
+    group = _permutation_group(name)
+    g = core.from_group(group)
+    subgroups = subconj.enumerate_subgroups(g, 0, cap)
+    if n_subgroups is not None:
+        assert len(subgroups) == n_subgroups
+    assert len(subconj.enumerate_reps(g, cap)) == n_classes
+    if group.n <= 32:
+        # cross-check by brute force: adjoin-every-element subgroups and
+        # conjugation by every element, on the abstract group
+        subs = oracles._subgroups(group)
+        assert len(subs) == len(subgroups)
+        classes = {frozenset(frozenset(group.mul(group.mul(x, k),
+                                                 group.inv(x)) for k in sub)
+                             for x in range(group.n)) for sub in subs}
+        assert len(classes) == n_classes
 
 
 def test_isotropy_cap_raises():
@@ -268,3 +335,25 @@ def test_mark_table_shape_on_random_groupoids(seed):
         for j in range(n):
             if t.components[i] != t.components[j] or j > i:
                 assert t.matrix[i][j] == 0
+
+
+def test_reps_go_through_the_module_level_subgroup_enumeration(monkeypatch):
+    calls = []
+    inner = subconj.enumerate_subgroups
+
+    def counting(g, base, cap=subconj.DEFAULT_ISOTROPY_CAP):
+        calls.append((g, base))
+        return inner(g, base, cap)
+
+    monkeypatch.setattr(subconj, "enumerate_subgroups", counting)
+    g = generate.from_spec("coprod:trg:D4:1,trg:Q8:1,pair:2")
+    subconj.enumerate_reps(g)
+    assert calls == [(g, comp[0]) for comp in g.components()]
+
+    calls.clear()
+    g = generate.from_spec("coprod:trg:D4:1,trg:Q8:1")
+    ring = burnside.BurnsideRing(g)
+    assert [(h, b) for h, b in calls if h is g] == [(g, 0), (g, 1)]
+    burnside.product_decomposition(ring)
+    factor_calls = [(h, b) for h, b in calls if h is not g]
+    assert len(factor_calls) == 2 and all(b == 0 for _, b in factor_calls)
