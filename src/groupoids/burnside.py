@@ -110,8 +110,11 @@ class BurnsideRing:
         return self.element(decompose(x, self.reps).coefficients)
 
     def structure_constants(self, i, j):
-        """Decomposition vector of the product of basis cosets i and j."""
-        coeffs = self.mul(self.basis(i), self.basis(j)).coeffs
+        """Decomposition of b_i·b_j: M⁻¹ of the product of columns i, j of M."""
+        table = self.mark_table()
+        if table.components[i] != table.components[j]:
+            return (0,) * self.rank
+        coeffs = table.solve(tuple(row[i] * row[j] for row in table.matrix))
         if any(type(c) is not int for c in coeffs):
             raise DecompositionMismatch("structure constant is not an integer",
                                         i=i, j=j)
@@ -151,8 +154,10 @@ class BurnsideRing:
             return " + ".join(terms) if terms else "0"
 
         width = max(map(len, names), default=0)
-        cells = [[combo(self.structure_constants(i, j))
-                  for j in range(self.rank)] for i in range(self.rank)]
+        cells = [[""] * self.rank for _ in range(self.rank)]
+        for i in range(self.rank):  # commutative: each pair once, mirrored
+            for j in range(i, self.rank):
+                cells[i][j] = cells[j][i] = combo(self.structure_constants(i, j))
         colw = [max([len(names[j])] + [len(cells[i][j])
                                        for i in range(self.rank)])
                 for j in range(self.rank)]

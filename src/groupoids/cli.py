@@ -9,6 +9,7 @@ usage errors exit 2. Identical inputs and flags produce identical bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from random import Random
@@ -417,10 +418,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)  # parse_args keeps no per-call state
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as ex:
         return 2 if ex.code else 0
     try:

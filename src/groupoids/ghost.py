@@ -6,8 +6,8 @@ coset basis is the table of marks, `BurnsideRing.mark_table()`, built at
 the ring's cap and memoized on the groupoid. The table owns both
 directions: `MarkTable.ghost` applies the map and `MarkTable.solve`
 inverts it by exact forward substitution inside each component block.
-The primitive idempotents of Q tensor B(G) are the preimages of the
-standard basis vectors of the ghost ring.
+The primitive idempotents of Q tensor B(G) are the preimages of the unit
+vectors of the ghost ring, and `verify_idempotents` checks them there.
 """
 
 from __future__ import annotations
@@ -44,10 +44,16 @@ def primitive_idempotents(ring: BurnsideRing):
 
 
 def verify_idempotents(ring: BurnsideRing, idems) -> bool:
-    """Check e_i e_j = delta_ij e_i and sum e_i = 1 with exact arithmetic."""
-    zero = ring.zero().coeffs
-    return (all(ring.mul(ei, ej).coeffs == (ei.coeffs if i == j else zero)
-                for i, ei in enumerate(idems) for j, ej in enumerate(idems))
+    """Whether idems are ring's primitive idempotents, in basis order.
+
+    Checks M·e_i = i-th unit vector (so e_i e_j = delta_ij e_i, the ghost
+    map being an injective ring map) and sum e_i = 1, exactly.
+    """
+    ghost = ring.mark_table().ghost
+    return (len(idems) == ring.rank
+            and all(e.ring is ring and ghost(e.coeffs)
+                    == tuple(int(i == k) for k in range(ring.rank))
+                    for i, e in enumerate(idems))
             and tuple(map(sum, zip(*(e.coeffs for e in idems))))
             == ring.one().coeffs)
 

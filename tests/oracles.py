@@ -319,6 +319,22 @@ def structure_constants(ring, i, j):
                      ring.reps).coefficients
 
 
+def idempotents_by_products(ring, idems):
+    """e_i e_j = delta_ij e_i for all rank² pairs, through ring.mul, and sum 1.
+
+    Weaker than `ghost.verify_idempotents`: any complete orthogonal system
+    of rank idempotents passes, in any order and with zeros, such as
+    [one, 0, ..., 0]. The two agree on the primitive system.
+    """
+    if len(idems) != ring.rank or any(e.ring is not ring for e in idems):
+        return False
+    zero = ring.zero().coeffs
+    return (all(ring.mul(ei, ej).coeffs == (ei.coeffs if i == j else zero)
+                for i, ei in enumerate(idems) for j, ej in enumerate(idems))
+            and tuple(map(sum, zip(*(e.coeffs for e in idems))))
+            == ring.one().coeffs)
+
+
 def _subgroups(group):
     """Every subgroup, grown from the trivial one by adjoining elements."""
     def closure(gens):

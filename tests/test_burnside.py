@@ -58,8 +58,49 @@ def test_structure_constants_match_fibered_products():
                     oracles.structure_constants(ring, i, j)
 
 
+def test_cross_component_structure_constants_skip_the_solve(monkeypatch):
+    ring = burnside.BurnsideRing(
+        generate.from_spec("coprod:trg:Q8:1,trg:C6:1,pair:2"))
+    components = ring.mark_table().components
+    solve = subconj.MarkTable.solve
+    calls = []
+
+    def counting_solve(self, v):
+        calls.append(v)
+        return solve(self, v)
+
+    monkeypatch.setattr(subconj.MarkTable, "solve", counting_solve)
+    cross = [(i, j) for i in range(ring.rank) for j in range(ring.rank)
+             if components[i] != components[j]]
+    assert len(set(components)) == 3 and cross
+    for i, j in cross:
+        assert ring.structure_constants(i, j) == (0,) * ring.rank
+        assert ring.structure_constants(i, j) == \
+            oracles.structure_constants(ring, i, j)
+    assert calls == []
+    ring.structure_constants(0, 0)
+    assert len(calls) == 1
+
+
+def test_table_string_solves_each_unordered_pair_once(monkeypatch):
+    ring = burnside.BurnsideRing(generate.from_spec("trg:D4:1"))
+    seen = []
+    constants = burnside.BurnsideRing.structure_constants
+
+    def recording(self, i, j):
+        seen.append((i, j))
+        return constants(self, i, j)
+
+    monkeypatch.setattr(burnside.BurnsideRing, "structure_constants",
+                        recording)
+    ring.table_string()
+    assert sorted(seen) == [(i, j) for i in range(ring.rank)
+                            for j in range(i, ring.rank)]
+
+
 def test_non_integral_structure_constant_raises(s3_ring, monkeypatch):
     table = s3_ring.mark_table()
+    assert table.components[1] == table.components[2]
     monkeypatch.setattr(type(table), "solve",
                         lambda self, v: (Fraction(1, 2),) + tuple(v[1:]))
     with pytest.raises(errors.DecompositionMismatch) as info:

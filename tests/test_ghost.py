@@ -174,6 +174,28 @@ def test_idempotents_match_gluck_formula():
         ring = _ring(g)
         es = ghost.primitive_idempotents(ring)
         assert [e.coeffs for e in es] == oracles.gluck_idempotents(ring)
+        assert ghost.verify_idempotents(ring, es) is True
+        assert oracles.idempotents_by_products(ring, es) is True
+        doubled = es[:-1] + [es[-1] + es[-1]]
+        assert ghost.verify_idempotents(ring, doubled) is False
+        assert oracles.idempotents_by_products(ring, doubled) is False
+
+
+@pytest.mark.parametrize("spec", ["trg:D4:1", "coprod:trg:Q8:1,trg:C6:1,pair:2"])
+def test_verify_idempotents_rejects_other_systems(spec):
+    g = generate.from_spec(spec)
+    ring = _ring(g)
+    es = ghost.primitive_idempotents(ring)
+    assert ghost.verify_idempotents(ring, es)
+    trivial = [ring.one()] + [ring.zero()] * (ring.rank - 1)
+    # both are complete orthogonal systems, which the product check accepts
+    for bad in (trivial, es[::-1]):
+        assert oracles.idempotents_by_products(ring, bad)
+        assert not ghost.verify_idempotents(ring, bad)
+    assert not ghost.verify_idempotents(ring, es[:-1])
+    other = _ring(g)
+    assert not ghost.verify_idempotents(
+        ring, es[:-1] + [other.element(es[-1].coeffs)])
 
 
 def test_csv_export_contains_labels(s3_groupoid):
@@ -191,3 +213,4 @@ def test_random_groupoid_ghost_and_idempotents(seed):
     assert table.det() == oracles.det_gauss(table.matrix)
     es = ghost.primitive_idempotents(ring)
     assert ghost.verify_idempotents(ring, es)
+    assert oracles.idempotents_by_products(ring, es)
