@@ -154,10 +154,8 @@ class BurnsideRing:
             return " + ".join(terms) if terms else "0"
 
         width = max(map(len, names), default=0)
-        cells = [[""] * self.rank for _ in range(self.rank)]
-        for i in range(self.rank):  # commutative: each pair once, mirrored
-            for j in range(i, self.rank):
-                cells[i][j] = cells[j][i] = combo(self.structure_constants(i, j))
+        cells = [[combo(self.structure_constants(i, j))
+                  for j in range(self.rank)] for i in range(self.rank)]
         colw = [max([len(names[j])] + [len(cells[i][j])
                                        for i in range(self.rank)])
                 for j in range(self.rank)]

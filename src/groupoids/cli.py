@@ -355,6 +355,7 @@ def _add_common(p, groupoid_positional=True):
     p.add_argument("--subgroup-cap", type=int, default=subconj.DEFAULT_ISOTROPY_CAP)
 
 
+@functools.cache  # one tree per process: parse_args keeps no per-call state
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="groupoids",
@@ -418,12 +419,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_parser = functools.cache(build_parser)  # parse_args keeps no per-call state
-
-
 def run(argv=None) -> int:
+    parser = build_parser()
     try:
-        args = _parser().parse_args(argv)
+        args = parser.parse_args(argv)
     except SystemExit as ex:
         return 2 if ex.code else 0
     try:

@@ -177,6 +177,10 @@ class FiniteGroupoid:
                 return i
         raise UnknownObject("no such object", object=a)
 
+    def is_transitive(self):
+        # the empty groupoid counts as transitive
+        return len(self.components()) <= 1
+
     def isotropy(self, a):
         if not 0 <= a < self.n_objects:
             raise UnknownObject("no such object", object=a)
@@ -451,9 +455,13 @@ class IsotropyGroup:
     def order(self):
         return len(self.arrows)
 
+    @property
+    def identity_arrow(self):
+        return self.groupoid.identity(self.base)
+
     def as_group(self):
         """Abstract Cayley table plus the arrow listed at each element index."""
-        ident = self.groupoid.identity(self.base)
+        ident = self.identity_arrow
         order = [ident] + [g for g in self.arrows if g != ident]
         pos = {g: i for i, g in enumerate(order)}
         table = [[pos[self.groupoid.compose(a, b)] for b in order] for a in order]

@@ -56,7 +56,8 @@ class RightGSet:
             else tuple(range(len(self.sigma)))
         if len(self.element_labels) != self.size:
             raise MalformedInput("element label count mismatch")
-        if len(set(self.element_labels)) != self.size:
+        self._element_index = {lab: i for i, lab in enumerate(self.element_labels)}
+        if len(self._element_index) != self.size:
             raise MalformedInput("duplicate element labels")
         self._orbits = None
         if check:
@@ -68,6 +69,12 @@ class RightGSet:
 
     def elements(self):
         return range(self.size)
+
+    def element_index(self, label):
+        try:
+            return self._element_index[label]
+        except KeyError:
+            raise UnknownElement("no such element label", label=label) from None
 
     def act(self, x, g):
         try:

@@ -82,22 +82,6 @@ def test_cross_component_structure_constants_skip_the_solve(monkeypatch):
     assert len(calls) == 1
 
 
-def test_table_string_solves_each_unordered_pair_once(monkeypatch):
-    ring = burnside.BurnsideRing(generate.from_spec("trg:D4:1"))
-    seen = []
-    constants = burnside.BurnsideRing.structure_constants
-
-    def recording(self, i, j):
-        seen.append((i, j))
-        return constants(self, i, j)
-
-    monkeypatch.setattr(burnside.BurnsideRing, "structure_constants",
-                        recording)
-    ring.table_string()
-    assert sorted(seen) == [(i, j) for i in range(ring.rank)
-                            for j in range(i, ring.rank)]
-
-
 def test_non_integral_structure_constant_raises(s3_ring, monkeypatch):
     table = s3_ring.mark_table()
     assert table.components[1] == table.components[2]

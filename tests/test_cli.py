@@ -1,11 +1,8 @@
 import csv
 import io
 import json
-import os
-import subprocess
 import sys
 
-import groupoids
 from groupoids import cli, core, generate, groups, gset
 from groupoids.generate import from_spec
 
@@ -459,25 +456,18 @@ def test_ghost_apply_rejects_non_integer_coefficients(tmp_path, capsys):
                                    "detail": dict(detail, path=str(vec))}
 
 
-def test_repeated_runs_in_one_process_match_fresh_processes(capsys,
-                                                            monkeypatch):
-    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(
-        os.path.dirname(groupoids.__file__)))
+def test_repeated_runs_in_one_process_match_fresh_parsers(capsys):
     calls = (["marks", "--gen", "trg:C2:1", "--jobs", "2"],     # usage error
              ["ring", "--gen", "bogus:1"],                      # domain error
              ["ring", "--gen", "trg:S3:2", "--format", "json"])
     fresh = []
     for argv in calls:
-        proc = subprocess.run(
-            [sys.executable, "-c", "import sys; from groupoids import cli; "
-             "sys.exit(cli.run(sys.argv[1:]))", *argv],
-            capture_output=True, text=True, env=env, timeout=60)
-        fresh.append((proc.returncode, proc.stdout, proc.stderr))
+        cli.build_parser.cache_clear()
+        code = cli.run(list(argv))
+        fresh.append((code, *capsys.readouterr()))
     assert [code for code, _, _ in fresh] == [2, 1, 0]
     for _ in range(3):
         for argv, want in zip(calls, fresh):
             code = cli.run(list(argv))
-            out = capsys.readouterr()
-            assert (code, out.out, out.err) == want
-    assert cli._parser() is cli._parser()
+            assert (code, *capsys.readouterr()) == want
+    assert cli.build_parser() is cli.build_parser()
