@@ -7,13 +7,15 @@ tgt(g)=b is "an arrow a -> b", and hom(a,b) collects all of them.
 
 Everything is immutable after construction and safe to share. Objects and
 arrows are referred to by small dense indices; the original input labels are
-kept for output. All validation is exhaustive table checking: no presentations,
-no word problem.
+kept for output. Validation checks the tables themselves, with no presentations
+and no word problem; associativity is tested on a generating set (Light's
+test), which is exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from operator import itemgetter
 
 from .errors import (
@@ -219,7 +221,10 @@ class FiniteGroupoid:
         in arrows_into(tgt h), and row[g][pos[k]] = pos[gk] for every k in
         arrows_into(src g). A hole (None) is a missing composable pair, and
         associativity (gh)k = g(hk) over all k becomes the list equality
-        row[gh] == [row[g][x] for x in row[h]].
+        row[gh] == [row[g][x] for x in row[h]]. That equality is checked
+        for h in a generating set (`_generators`) and every g, which is
+        exact; only if it fails are all composable pairs checked, so the
+        reported (g, h, k) is the first failure in table order.
         """
         n, m = self.n_objects, self.n_arrows
         src, tgt, compose = self._src, self._tgt, self._compose
@@ -279,14 +284,56 @@ class FiniteGroupoid:
         # itemgetter of a single index returns the bare item, so one-entry
         # rows are compared bare (row[gh] and row[h] have the same length)
         row = [tuple(r) for r in row]
-        gather = [itemgetter(*r) for r in row]
         shaped = [r if len(r) > 1 else r[0] for r in row]
+        out = [[] for _ in range(n)]  # arrows by source
+        for g in range(m):
+            out[src[g]].append(g)
+        # Light's test: the middle arrows h that pass are closed under
+        # composition and include the identities (identity laws hold by
+        # now), so checking h in a generating set is exact
+        if all(shaped[compose[(g, h)]] == get(row[g])
+               for h in self._generators()
+               for get in (itemgetter(*row[h]),)
+               for g in out[tgt[h]]):
+            return
+        gather = [itemgetter(*r) for r in row]
         for (g, h), gh in compose.items():
             if shaped[gh] != gather[h](row[g]):
                 k = next(k for k, x, y in zip(into[src[h]], row[gh],
                                               map(row[g].__getitem__, row[h]))
                          if x != y)
                 raise AssociativityFailure("(gh)k != g(hk)", g=g, h=h, k=k)
+
+    def _generators(self):
+        """A list S of arrows that, with the identities, generates every arrow.
+
+        Greedy in arrow order: an arrow not yet reached from the identities
+        becomes a generator, and the reached set is closed under right
+        multiplication by the generators. Each (reached arrow, generator)
+        pair is composed once: when the later of the two arrives. Needs a
+        complete composition table and the left identity law.
+        """
+        src, tgt, compose = self._src, self._tgt, self._compose
+        reached = bytearray(self.n_arrows)
+        reached_from = [[] for _ in range(self.n_objects)]  # by source
+        gens_into = [[] for _ in range(self.n_objects)]  # by target
+        for a, i in enumerate(self._identity):
+            reached[i] = 1
+            reached_from[a].append(i)
+        gens = []
+        for s in range(self.n_arrows):
+            if reached[s]:
+                continue
+            gens.append(s)
+            gens_into[tgt[s]].append(s)
+            todo = [compose[(r, s)] for r in reached_from[tgt[s]]]
+            while todo:
+                r = todo.pop()
+                if not reached[r]:
+                    reached[r] = 1
+                    reached_from[src[r]].append(r)
+                    todo.extend(compose[(r, t)] for t in gens_into[src[r]])
+        return gens
 
     def _entry_error(self, pair, gh):
         """The error for one bad compose entry, or None if it is sound."""
@@ -365,6 +412,20 @@ def _check_shapes(data, shapes):
             raise MalformedInput("wrong JSON type", key=key, expected=kind)
 
 
+def _compose_batch(entries, arr_index):
+    """The compose dict if every entry is [g, h, gh] of raw arrow labels and
+    no (g, h) repeats; None otherwise, for the per-entry path to report."""
+    if not (set(map(type, entries)) <= {list, tuple}
+            and set(map(len, entries)) == {3}):
+        return None
+    try:
+        ids = iter(list(map(arr_index.__getitem__, chain.from_iterable(entries))))
+    except (KeyError, TypeError):  # TypeError: an unhashable label
+        return None
+    compose = {(g, h): gh for g, h, gh in zip(ids, ids, ids)}
+    return compose if len(compose) == len(entries) else None
+
+
 def validate(data) -> FiniteGroupoid:
     """Check raw groupoid data (the JSON shape) and build a FiniteGroupoid."""
     if not isinstance(data, dict):
@@ -408,15 +469,18 @@ def validate(data) -> FiniteGroupoid:
         if inv is _MISSING:
             raise InverseFailure("no inverse assigned", arrow=lab)
         inverse[arr_index[lab]] = arrow_of(inv, "inverse")
-    compose = {}
-    for entry in data["compose"]:
-        if not isinstance(entry, _JSON_TYPES["array"]) or len(entry) != 3:
-            raise MalformedInput("compose entries are [g, h, gh]", entry=entry)
-        g, h, gh = (arrow_of(x, "compose") for x in entry)
-        if (g, h) in compose and compose[(g, h)] != gh:
-            raise CompositionDomainMismatch("conflicting compose entries",
-                                            g=entry[0], h=entry[1])
-        compose[(g, h)] = gh
+    compose = _compose_batch(data["compose"], arr_index)
+    if compose is None:  # a miss: resolve entry by entry, raising the first
+        compose = {}
+        for entry in data["compose"]:
+            if not isinstance(entry, _JSON_TYPES["array"]) or len(entry) != 3:
+                raise MalformedInput("compose entries are [g, h, gh]",
+                                     entry=entry)
+            g, h, gh = (arrow_of(x, "compose") for x in entry)
+            if (g, h) in compose and compose[(g, h)] != gh:
+                raise CompositionDomainMismatch("conflicting compose entries",
+                                                g=entry[0], h=entry[1])
+            compose[(g, h)] = gh
     return FiniteGroupoid(src, tgt, identity, inverse, compose,
                           object_labels=object_labels,
                           arrow_labels=arrow_labels, check=True)

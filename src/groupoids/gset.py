@@ -189,7 +189,10 @@ def validate_gset(data, g: FiniteGroupoid) -> RightGSet:
         x, p, y = (_label(v, "action") for v in entry)
         if x not in elem_index or y not in elem_index:
             raise UnknownElement("action entry names unknown element", entry=entry)
-        action[(elem_index[x], g.arrow_index(p))] = elem_index[y]
+        key = (elem_index[x], g.arrow_index(p))
+        if action.setdefault(key, elem_index[y]) != elem_index[y]:
+            raise MalformedInput("conflicting action entries", key="action",
+                                 element=x, arrow=p)
     return RightGSet(g, sigma, action, element_labels=labels, check=True)
 
 

@@ -3,7 +3,7 @@ import io
 import json
 import sys
 
-from groupoids import cli, core, generate, groups, gset
+from groupoids import cli, core, generate, groups, gset, subconj
 from groupoids.generate import from_spec
 
 
@@ -371,6 +371,30 @@ def test_gset_validate_rejects_malformed_action_entries(tmp_path, capsys):
     code, record = _gset_record(tmp_path, capsys, mutate_label)
     assert code == 1
     assert record["detail"]["key"] == "action"
+
+
+def test_gset_validate_rejects_conflicting_action_entries(tmp_path, capsys):
+    # two values for one (element, arrow): an error, whichever comes first;
+    # a repeated consistent entry stays accepted
+    g = from_spec("trg:S3:1")
+    data = gset.coset_gset(g, subconj.enumerate_reps(g)[1]).to_json()
+    x, p, y = data["action"][0]
+    other = next(e for e in data["elements"] if e != y)
+    gp, xp = tmp_path / "g.json", tmp_path / "x.json"
+    gp.write_text(json.dumps(g.to_json()))
+    for action, code in (([[x, p, other]] + data["action"], 1),
+                         (data["action"] + [[x, p, other]], 1),
+                         (data["action"] + [[x, p, y]], 0)):
+        xp.write_text(json.dumps(dict(data, action=action)))
+        got, out = run_cli(capsys, "gset", "validate", str(xp),
+                           "--groupoid", str(gp))
+        assert got == code
+        if code:
+            assert json.loads(out) == {"error": "MalformedInput", "detail": {
+                "message": "conflicting action entries", "key": "action",
+                "element": x, "arrow": p}}
+        else:
+            assert json.loads(out)["valid"] is True
 
 
 def test_empty_groupoid_ring(capsys):

@@ -1,6 +1,7 @@
 import ast
 import json
 import pathlib
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
@@ -316,6 +317,185 @@ def test_validate_reports_the_least_bad_compose_entry():
     with pytest.raises(errors.CompositionDomainMismatch) as info:
         bad.validated()
     assert info.value.detail == {"g": 1, "h": 3, "gh": 8}
+
+
+def _closure(g, gens):
+    """Arrows reached from the identities by right multiplication by gens."""
+    reached = set(g._identity)
+    while True:
+        more = {g.compose(r, s) for r in reached for s in gens
+                if g.src(r) == g.tgt(s)} - reached
+        if not more:
+            return reached
+        reached |= more
+
+
+@pytest.mark.parametrize("spec", [
+    "trg:D4:3", "trg:S3:2", "trg:C6:4", "trg:Q8:1", "trg:C1:7", "pair:1",
+    "pair:5", "coprod:trg:D4:2,pair:3,trg:C2xC2:1", "trg:S3:0"])
+def test_generators_with_the_identities_reach_every_arrow(spec):
+    g = generate.from_spec(spec)
+    gens = g._generators()
+    assert set(gens).isdisjoint(g._identity)
+    assert _closure(g, gens) == set(g.arrows())
+
+
+def test_generators_of_random_groupoids_reach_every_arrow():
+    from random import Random
+    for seed in range(30):
+        _, g = generate.random_groupoid(Random(seed), max_arrows=120,
+                                        max_isotropy=8)
+        assert _closure(g, g._generators()) == set(g.arrows())
+
+
+def test_generating_sets_stay_small():
+    assert len(generate.from_spec("trg:D4:12")._generators()) <= 24
+    assert len(generate.from_spec("pair:40")._generators()) <= 78
+
+
+def test_valid_groupoids_skip_the_exhaustive_associativity_loop(monkeypatch):
+    # the fast path makes one itemgetter per generator, the exhaustive loop
+    # one per arrow on top of those
+    made = []
+
+    def counting(*items):
+        made.append(items)
+        return itemgetter(*items)
+
+    g = generate.from_spec("trg:D4:3")
+    monkeypatch.setattr(core, "itemgetter", counting)
+    g.validated()
+    assert len(made) == len(g._generators()) < g.n_arrows
+    compose = dict(g._compose)
+    key = (g.hom(0, 1)[0], g.loops(0)[1])
+    compose[key] = next(a for a in g.hom(0, 1) if a != compose[key])
+    bad = core.FiniteGroupoid(g._src, g._tgt, g._identity, g._inverse,
+                              compose, check=False)
+    made.clear()
+    with pytest.raises(errors.GroupoidError):
+        bad.validated()
+    assert len(made) > g.n_arrows
+
+
+def test_off_generator_faults_match_the_oracle():
+    # corrupt only entries (g, h) with h neither a generator nor an
+    # identity, so the generating set is found as for the sound table
+    import oracles
+    from random import Random
+    kinds = []
+    for seed in range(60):
+        rng = Random(seed)
+        _, g = generate.random_groupoid(rng, max_arrows=120, max_isotropy=8)
+        skip = set(g._generators()) | set(g._identity)
+        keys = sorted(key for key in g._compose if key[1] not in skip)
+        if not keys:
+            continue
+        compose = dict(g._compose)
+        for key in rng.sample(keys, min(len(keys), rng.randint(1, 2))):
+            p, q = key
+            compose[key] = rng.choice(g.hom(g.src(q), g.tgt(p)))
+        bad = core.FiniteGroupoid(g._src, g._tgt, g._identity, g._inverse,
+                                  compose, check=False)
+        assert bad._generators() == g._generators()
+        record = _record(bad.validated)
+        assert record == _record(lambda: oracles.check_groupoid(bad))
+        kinds.append(record and record["error"])
+    assert kinds.count("AssociativityFailure") >= 10
+
+
+def _c3_data():
+    return json.loads(json.dumps(core.from_group(groups.cyclic(3)).to_json()))
+
+
+def _c3_int_ids_data():
+    """C3 with the arrow ids 0, 1, 2 as JSON numbers"""
+    g = core.from_group(groups.cyclic(3))
+    return json.loads(json.dumps(core.FiniteGroupoid(
+        g._src, g._tgt, g._identity, g._inverse, g._compose,
+        check=False).to_json()))
+
+
+def _conflict(data):
+    g, h, gh = data["compose"][3]
+    data["compose"].append([g, h, "0" if gh != "0" else "1"])
+
+
+def _each(data, f):
+    data["compose"] = [f(e) for e in data["compose"]]
+
+
+def _strings(data):
+    _each(data, lambda e: list(map(str, e)))
+
+
+def _ints(data):
+    _each(data, lambda e: list(map(int, e)))
+
+
+def _ints_one_wrong(data):
+    _ints(data)
+    data["compose"][4][2] = 0
+
+
+def _duplicate(data):
+    data["compose"].append(list(data["compose"][3]))
+
+
+def _unknown_then_malformed(data):
+    data["compose"][1][2] = "nope"
+    data["compose"][2] = 5
+
+
+def _tuples(data):
+    _each(data, tuple)
+
+
+def _tuples_conflict(data):
+    _conflict(data)
+    _tuples(data)
+
+
+def _true_for_one(data):
+    _each(data, lambda e: [True if x == 1 else x for x in e])
+
+
+def _true_first(data):
+    data["compose"][0][0] = True
+
+
+CONFLICT = {"error": "CompositionDomainMismatch", "detail": {
+    "message": "conflicting compose entries", "g": "1", "h": "0"}}
+LABEL_CASES = (  # (data, mutation, record or None for a valid table)
+    (_c3_int_ids_data, _strings, {"error": "MalformedInput", "detail": {
+        "message": "unknown arrow label", "label": "0", "where": "compose"}}),
+    (_c3_data, _ints, None),
+    (_c3_data, _ints_one_wrong, {"error": "AssociativityFailure", "detail": {
+        "message": "(gh)k != g(hk)", "g": 1, "h": 1, "k": 2}}),
+    (_c3_data, _duplicate, None),
+    (_c3_data, _conflict, CONFLICT),
+    (_c3_data, _unknown_then_malformed, {
+        "error": "MalformedInput", "detail": {
+            "message": "unknown arrow label", "label": "nope",
+            "where": "compose"}}),
+    (_c3_data, _tuples, None),
+    (_c3_data, _tuples_conflict, CONFLICT),
+    (_c3_int_ids_data, _true_for_one, None),
+    (_c3_data, _true_first, {"error": "MalformedInput", "detail": {
+        "message": "unknown arrow label", "label": True, "where": "compose"}}),
+)
+
+
+@pytest.mark.parametrize("make, mutate, expected", LABEL_CASES)
+def test_compose_labels_resolve_as_entry_by_entry(make, mutate, expected):
+    # records pinned from the entry-by-entry resolution: str-key fallback,
+    # duplicates, first error in entry order, tuples, true == 1
+    data = make()
+    mutate(data)
+    if expected is not None:
+        assert _record(lambda: core.validate(data)) == expected
+    else:
+        assert core.validate(data).to_json() == \
+            core.validate(make()).to_json()
 
 
 def test_subgroupoid_reports_the_first_open_composition(pair3):
