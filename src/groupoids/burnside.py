@@ -28,11 +28,12 @@ from dataclasses import dataclass
 from operator import mul
 
 from .core import FiniteGroupoid, GroupoidMorphism, OneObjectSubgroupoid, from_group
-from .errors import DecompositionMismatch, TableMismatch, UndecidableEquality
+from .errors import (DecompositionMismatch, GroupoidMismatch, TableMismatch,
+                     UndecidableEquality)
 from .gset import RightGSet, coset_gset, decompose, unit_gset
 from .subconj import (
     DEFAULT_ISOTROPY_CAP,
-    conjugated_isotropy_subgroups,
+    conjugacy_class_index,
     enumerate_reps,
     mark_table,
     rep_label,
@@ -250,57 +251,42 @@ def product_decomposition(ring: BurnsideRing) -> ProductDecomposition:
 
     Each factor is the Burnside ring of the isotropy group at the
     component's least object, taken as a one-object groupoid. Basis classes
-    are matched by conjugacy after transporting arrow sets through the
-    isotropy group; the parent's mark table block must match the factor's
+    are matched by conjugacy_class_index in the factor; the match must be a
+    bijection and the parent's mark table block must match the factor's
     mark table exactly, otherwise DecompositionMismatch is raised.
     """
     g = ring.groupoid
-    factors = []
-    base_objects = []
-    matched = {}
-    for ci, comp in enumerate(g.components()):
-        base = comp[0]
-        iso = g.isotropy(base)
-        grp, arrow_at = iso.as_group()
-        factor_gpd = from_group(grp)
-        factor = BurnsideRing(factor_gpd, ring.cap)
-        arrow_to_element = {arr: idx for idx, arr in enumerate(arrow_at)}
-        for i, rep in enumerate(ring.reps):
-            if g.component_index(rep.base) != ci:
-                continue
-            if rep.base != base:
-                raise DecompositionMismatch(
-                    "parent class not based at the component base", index=i)
-            elements = sorted(arrow_to_element[a] for a in rep.arrows)
-            cand = OneObjectSubgroupoid(factor_gpd, 0, elements, check=False)
-            hits = [k for k, frep in enumerate(factor.reps)
-                    if conjugated_isotropy_subgroups(cand, frep)[0]]
-            if len(hits) != 1:
-                raise DecompositionMismatch(
-                    "parent class matches %d factor classes" % len(hits),
-                    index=i)
-            matched[i] = (ci, hits[0])
-        factors.append(factor)
-        base_objects.append(base)
-    if sorted(matched) != list(range(ring.rank)):
-        raise DecompositionMismatch("unmatched parent classes")
-    per_factor = {}
-    for i, (ci, k) in matched.items():
-        per_factor.setdefault(ci, set()).add(k)
+    base_objects = tuple(comp[0] for comp in g.components())
+    factors, arrow_maps, matched = [], [], []
+    for base in base_objects:
+        grp, arrow_at = g.isotropy(base).as_group()
+        factors.append(BurnsideRing(from_group(grp), ring.cap))
+        arrow_maps.append({arr: idx for idx, arr in enumerate(arrow_at)})
+    for i, rep in enumerate(ring.reps):
+        ci = g.component_index(rep.base)
+        if rep.base != base_objects[ci]:
+            raise DecompositionMismatch(
+                "parent class not based at the component base", index=i)
+        cand = OneObjectSubgroupoid(factors[ci].groupoid, 0, sorted(
+            arrow_maps[ci][a] for a in rep.arrows), check=False)
+        try:
+            matched.append((ci, conjugacy_class_index(cand, factors[ci].reps)))
+        except GroupoidMismatch:
+            raise DecompositionMismatch(
+                "parent class matches no factor class", index=i) from None
     for ci, factor in enumerate(factors):
-        if per_factor.get(ci) != set(range(factor.rank)):
+        if sorted(k for c, k in matched if c == ci) != list(range(factor.rank)):
             raise DecompositionMismatch("basis match is not a bijection",
                                         factor=ci)
     parent_marks = ring.mark_table().matrix
     factor_marks = [factor.mark_table().matrix for factor in factors]
-    for i, (c1, k1) in matched.items():
-        for j, (c2, k2) in matched.items():
+    for i, (c1, k1) in enumerate(matched):
+        for j, (c2, k2) in enumerate(matched):
             if c1 == c2 and parent_marks[i][j] != factor_marks[c1][k1][k2]:
                 raise DecompositionMismatch(
                     "mark tables disagree after matching", row=i, column=j)
-    index_maps = tuple(matched[i] for i in range(ring.rank))
-    return ProductDecomposition(ring, tuple(factors), tuple(base_objects),
-                                index_maps)
+    return ProductDecomposition(ring, tuple(factors), base_objects,
+                                tuple(matched))
 
 
 # -- generic difference completion -----------------------------------------

@@ -258,7 +258,7 @@ def _cmd_gset_isomorphic(args):
     g = _groupoid_from_args(args)
     x = _gset_from_args(args, g, args.first)
     y = _gset_from_args(args, g, args.second)
-    ok, evidence = gset.isomorphic(x, y)
+    ok, evidence = gset.isomorphic(x, y, cap=args.subgroup_cap)
     if ok:
         return _json_text({"isomorphic": True, "witness": evidence.to_json()})
     return _json_text({

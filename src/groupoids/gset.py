@@ -42,6 +42,8 @@ from .errors import (
     StructureMapViolation,
     UnknownElement,
 )
+from .subconj import (DEFAULT_ISOTROPY_CAP, conjugacy_class_index,
+                      conjugated_isotropy_subgroups, enumerate_reps)
 
 
 class RightGSet:
@@ -388,7 +390,6 @@ def decompose(x: RightGSet, reps) -> GSetDecomposition:
     of arrows into the orbit representative's object, otherwise
     DecompositionMismatch is raised.
     """
-    from .subconj import conjugacy_class_index
     coeffs = [0] * len(reps)
     orbit_reps = []
     for orbit in x.orbits():
@@ -405,18 +406,16 @@ def decompose(x: RightGSet, reps) -> GSetDecomposition:
     return GSetDecomposition(tuple(orbit_reps), tuple(coeffs))
 
 
-def isomorphic(x: RightGSet, y: RightGSet):
+def isomorphic(x: RightGSet, y: RightGSet, cap=DEFAULT_ISOTROPY_CAP):
     """Burnside test: equal coset multiplicities, with an explicit witness.
 
     Returns (True, EquivariantMap bijection) or (False, certificate) where the
     certificate is a one-object subgroupoid H with |X^H| != |Y^H|.
     """
-    from .subconj import (conjugacy_class_index, conjugated_isotropy_subgroups,
-                          enumerate_reps)
     if x.groupoid is not y.groupoid:
         raise GroupoidMismatch("G-sets over different groupoids")
     g = x.groupoid
-    reps = enumerate_reps(g)
+    reps = enumerate_reps(g, cap=cap)
     dx = decompose(x, reps)
     dy = decompose(y, reps)
     if dx.coefficients != dy.coefficients:

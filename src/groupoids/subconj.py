@@ -17,10 +17,9 @@ closed under their generators only, and the lattice grown from the
 cyclic subgroups by joining each subgroup with each cyclic subgroup it
 does not contain (cyclic extension, as in G. Pfeiffer, "The subgroups of
 M24, or how to compute the table of marks of a finite group",
-Experimental Math. 6, 1997). Classes map masks through a dense
-conjugation table.
-Those classes index the table of marks, whose rows count fixed points on
-coset G-sets; the produced ordering makes the table block diagonal over
+Experimental Math. 6, 1997). A class is the orbit of a mask under
+conjugation, and marks are read from class containment (same paper).
+The produced class ordering makes the table of marks block diagonal over
 components with lower triangular, nonzero-diagonal blocks.
 """
 
@@ -40,7 +39,6 @@ from .errors import (
     SingularMatrix,
     TriangularityViolation,
 )
-from .gset import coset_gset, fixed_points
 
 DEFAULT_ISOTROPY_CAP = 24
 DEFAULT_SEARCH_BUDGET = 200_000
@@ -128,6 +126,14 @@ def _lattice(table, n, e):
     return found
 
 
+def _orbit(table, inv, mask):
+    """Masks of x H x^-1 for every loop x, H given by its mask."""
+    n = len(inv)
+    members = _bits(mask)
+    return {sum(1 << table[table[x * n + i] * n + inv[x]] for i in members)
+            for x in range(n)}
+
+
 def enumerate_subgroups(g: FiniteGroupoid, base, cap=DEFAULT_ISOTROPY_CAP):
     """All subgroups of the isotropy group at base, as arrow sets.
 
@@ -183,19 +189,13 @@ def enumerate_reps(g: FiniteGroupoid, cap=DEFAULT_ISOTROPY_CAP):
         base = comp[0]
         subgroups = enumerate_subgroups(g, base, cap=cap)
         loops, pos, table, inv = _cayley(g, base)
-        n = len(loops)
-        # conj[x*n + i] = index of x i x^-1
-        conj = [table[table[x * n + i] * n + inv[x]]
-                for x in range(n) for i in range(n)]
         classes = []
         seen = set()
         for sub in subgroups:
             mask = sum(1 << pos[a] for a in sub)
             if mask in seen:
                 continue
-            members = _bits(mask)
-            orbit = {sum(1 << conj[x * n + i] for i in members)
-                     for x in range(n)}
+            orbit = _orbit(table, inv, mask)
             seen |= orbit
             classes.append(min(map(_bits, orbit)))
         classes.sort(key=lambda c: (-len(c), c))
@@ -207,14 +207,23 @@ def enumerate_reps(g: FiniteGroupoid, cap=DEFAULT_ISOTROPY_CAP):
 
 
 def conjugacy_class_index(h: OneObjectSubgroupoid, reps):
-    """Position of h's conjugacy class in a representative list."""
+    """Index of the first rep whose mask at h's component base is in h's orbit."""
     g = h.parent
     comp = g.component_index(h.base)
+    base = g.components()[comp][0]
+    _, pos, table, inv = _cayley(g, base)
+
+    def mask(sub):
+        if sub.base != base:
+            sub = sub.conjugate_by(g.hom(sub.base, base)[0])
+        return sum(1 << pos[a] for a in sub.arrows)
+
+    orbit = _orbit(table, inv, mask(h))
     for i, rep in enumerate(reps):
-        if g.component_index(rep.base) != comp:
-            continue
-        ok, _ = conjugated_isotropy_subgroups(h, rep)
-        if ok:
+        if rep.parent is not g:
+            raise GroupoidMismatch("subgroupoids of different groupoids")
+        if (rep.order == h.order and g.component_index(rep.base) == comp
+                and mask(rep) in orbit):
             return i
     raise GroupoidMismatch("no representative matches this subgroupoid",
                            base=h.base, order=h.order)
@@ -369,9 +378,10 @@ def rep_label(g: FiniteGroupoid, rep: OneObjectSubgroupoid) -> str:
 def mark_table(g: FiniteGroupoid, cap=DEFAULT_ISOTROPY_CAP) -> MarkTable:
     """Table of marks over the produced class ordering, shape-checked.
 
-    Entry (i, j) counts H_i-fixed points on G/H_j. The ordering guarantees a
-    block diagonal matrix over components whose blocks are lower triangular
-    with nonzero diagonal; any violation raises instead of returning.
+    Entry (i, j) counts H_i-fixed points on G/H_j, as #{K ~ H_j : H_i <= K}
+    times |N(H_j)|/|H_j| inside a component and 0 across. The ordering
+    guarantees lower triangular blocks with nonzero diagonal; any violation
+    raises instead of returning.
     Results are memoized on the groupoid instance, per cap.
     """
     cached = g._derived.get(("marks", cap))
@@ -379,18 +389,21 @@ def mark_table(g: FiniteGroupoid, cap=DEFAULT_ISOTROPY_CAP) -> MarkTable:
         return cached
     reps = enumerate_reps(g, cap=cap)
     components = tuple(g.component_index(r.base) for r in reps)
-    cosets = [coset_gset(g, r) for r in reps]
-    matrix = tuple(tuple(len(fixed_points(coset, h)) for coset in cosets)
-                   for h in reps)
-    for i in range(len(reps)):
-        for j in range(len(reps)):
-            if components[i] != components[j] and matrix[i][j]:
-                raise TriangularityViolation(
-                    "nonzero mark across components", row=i, column=j)
-            if components[i] == components[j] and j > i and matrix[i][j]:
+    masks, columns = [], []
+    for r, c in zip(reps, components):
+        loops, pos, table, inv = _cayley(g, r.base)
+        masks.append(sum(1 << pos[a] for a in r.arrows))
+        orbit = _orbit(table, inv, masks[-1])
+        columns.append((c, orbit, len(loops) // len(orbit) // r.order))
+    matrix = tuple(tuple(sum(not h & ~k for k in orbit) * index if c == d else 0
+                         for d, orbit, index in columns)
+                   for h, c in zip(masks, components))
+    for i, row in enumerate(matrix):
+        for j in range(i + 1, len(row)):
+            if row[j]:
                 raise TriangularityViolation(
                     "nonzero mark above the diagonal", row=i, column=j)
-        if matrix[i][i] == 0:
+        if row[i] == 0:
             raise TriangularityViolation("zero diagonal mark", row=i)
     labels = tuple(rep_label(g, r) for r in reps)
     table = MarkTable(g, tuple(reps), matrix, labels, components)

@@ -13,12 +13,13 @@ from groupoids.errors import (
     AssociativityFailure,
     CompositionDomainMismatch,
     DanglingArrowEndpoint,
+    GroupoidMismatch,
     InverseFailure,
     IsotropyTooLarge,
     MissingIdentity,
 )
 from groupoids.gset import coset_gset, decompose, fibered_product
-from groupoids.subconj import DEFAULT_ISOTROPY_CAP
+from groupoids.subconj import DEFAULT_ISOTROPY_CAP, conjugated_isotropy_subgroups
 
 
 def check_groupoid(g):
@@ -231,6 +232,21 @@ def class_reps_by_scan(g, cap=DEFAULT_ISOTROPY_CAP):
         reps.extend(OneObjectSubgroupoid(g, base, sorted(s), check=False)
                     for s in classes)
     return reps
+
+
+def class_index_by_scan(h, reps):
+    """Position of h's conjugacy class in reps, by testing h for conjugacy
+    through g.compose against every rep of its component in turn."""
+    g = h.parent
+    comp = g.component_index(h.base)
+    for i, rep in enumerate(reps):
+        if g.component_index(rep.base) != comp:
+            continue
+        ok, _ = conjugated_isotropy_subgroups(h, rep)
+        if ok:
+            return i
+    raise GroupoidMismatch("no representative matches this subgroupoid",
+                           base=h.base, order=h.order)
 
 
 def generating_set(group):

@@ -1,7 +1,15 @@
+import contextlib
+import copy
 import csv
+import functools
 import io
 import json
+import os
 import sys
+import tempfile
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupoids import cli, core, generate, groups, gset, subconj
 from groupoids.generate import from_spec
@@ -245,6 +253,30 @@ def test_subgroup_cap_above_the_default(tmp_path, capsys):
         code, out = run_cli(capsys, command, "--gen", "trg:%s:1" % table,
                             "--subgroup-cap", "25")
         assert code == 0, out
+
+
+def test_gset_commands_honour_the_subgroup_cap(tmp_path, capsys):
+    g = core.from_group(groups.direct_product(groups.cyclic(5),
+                                              groups.cyclic(5)))
+    reps = subconj.enumerate_reps(g, cap=25)
+    gp, xp, yp = (tmp_path / name for name in ("g.json", "x.json", "y.json"))
+    gp.write_text(json.dumps(g.to_json()))
+    xp.write_text(json.dumps(gset.coset_gset(g, reps[1]).to_json()))
+    yp.write_text(json.dumps(gset.coset_gset(g, reps[2]).to_json()))
+    code, out = run_cli(capsys, "gset", "decompose", str(xp),
+                        "--groupoid", str(gp), "--subgroup-cap", "25")
+    assert code == 0, out
+    code, out = run_cli(capsys, "gset", "isomorphic", str(xp), str(yp),
+                        "--groupoid", str(gp), "--subgroup-cap", "25")
+    assert code == 0, out
+    assert json.loads(out)["isomorphic"] is False
+    code, out = run_cli(capsys, "gset", "isomorphic", str(xp), str(xp),
+                        "--groupoid", str(gp), "--subgroup-cap", "25")
+    assert code == 0 and json.loads(out)["isomorphic"] is True
+    code, out = run_cli(capsys, "gset", "isomorphic", str(xp), str(yp),
+                        "--groupoid", str(gp))
+    assert code == 1
+    assert json.loads(out)["error"] == "IsotropyTooLarge"
 
 
 def test_knobs_only_where_they_are_read(capsys):
@@ -495,3 +527,84 @@ def test_repeated_runs_in_one_process_match_fresh_parsers(capsys):
             code = cli.run(list(argv))
             assert (code, *capsys.readouterr()) == want
     assert cli.build_parser() is cli.build_parser()
+
+
+@functools.cache
+def _gset_fixtures():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.run(["fuzz", "--seed", "4", "--count", "4",
+                        "--kind", "gset"]) == 0
+    return json.loads(out.getvalue())["fixtures"]
+
+
+def _json_nodes(doc, path=()):
+    """Every (path, value) below doc, the root included."""
+    yield path, doc
+    items = doc.items() if isinstance(doc, dict) else \
+        enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _json_nodes(value, path + (key,))
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+# values of every JSON type, for retyping a node
+JSON_VALUES = st.one_of(st.none(), st.booleans(), st.integers(-3, 30),
+                        st.text(max_size=3), st.lists(st.integers(0, 5),
+                                                      max_size=3),
+                        st.dictionaries(st.text(max_size=2), st.integers(0, 5),
+                                        max_size=2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_mutated_fuzz_fixtures_never_raise(data):
+    """Drop a key, retype a value, swap two labels, or delete or overwrite
+    an action entry in a fuzz fixture; every command must end in exit 0, 1
+    or 2, and exit 1 with an error record."""
+    fixture = copy.deepcopy(data.draw(st.sampled_from(_gset_fixtures())))
+    doc = fixture[data.draw(st.sampled_from(["groupoid", "gset"]))]
+    nodes = [(p, v) for p, v in _json_nodes(doc) if p]
+    kind = data.draw(st.sampled_from(["drop", "retype", "swap", "action"]))
+    if kind == "action":
+        action = fixture["gset"]["action"]
+        i = data.draw(st.integers(0, len(action) - 1))
+        if data.draw(st.booleans()):
+            del action[i]
+        else:
+            leaves = [v for _, v in _json_nodes(fixture["gset"])
+                      if isinstance(v, (str, int))]
+            action[i][data.draw(st.integers(0, 2))] = \
+                data.draw(st.sampled_from(leaves))
+    else:
+        path, _ = data.draw(st.sampled_from(nodes))
+        parent, key = _at(doc, path[:-1]), path[-1]
+        if kind == "drop":
+            del parent[key]
+        elif kind == "retype":
+            parent[key] = data.draw(JSON_VALUES)
+        else:
+            other, value = data.draw(st.sampled_from(nodes))
+            if other[:len(path)] != path and path[:len(other)] != other:
+                _at(doc, other[:-1])[other[-1]] = parent[key]
+                parent[key] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        gp, xp = os.path.join(tmp, "g.json"), os.path.join(tmp, "x.json")
+        for path, key in ((gp, "groupoid"), (xp, "gset")):
+            with open(path, "w") as fh:
+                json.dump(fixture[key], fh)
+        for argv in (["gset", "decompose", xp, "--groupoid", gp],
+                     ["gset", "isomorphic", xp, xp, "--groupoid", gp],
+                     ["marks", gp], ["decompose-ring", gp]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                code = cli.run(argv)
+            assert code in (0, 1, 2), argv
+            if code == 1:
+                assert set(json.loads(out.getvalue())) == {"error", "detail"}

@@ -1,3 +1,6 @@
+import ast
+import pathlib
+import sys
 from random import Random
 
 import oracles
@@ -5,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupoids import burnside, core, errors, generate, groups, gset, subconj
+from groupoids import burnside, core, errors, generate, ghost, groups, gset, subconj
 
 
 def _loops_to_elements(g, base, arrows):
@@ -357,3 +360,105 @@ def test_reps_go_through_the_module_level_subgroup_enumeration(monkeypatch):
     burnside.product_decomposition(ring)
     factor_calls = [(h, b) for h, b in calls if h is not g]
     assert len(factor_calls) == 2 and all(b == 0 for _, b in factor_calls)
+
+
+def _mark_cases():
+    cases = [("S4", 24), ("A4", 24), ("D4xC4", 32), ("A5", 60), ("S5", 120),
+             ("trg:D4:3", 24), ("coprod:trg:D4:2,trg:Q8:2,trg:C12:2", 24),
+             ("coprod:trg:Q8:1,trg:C6:1,pair:2", 24)]
+    rng = Random(11)
+    while len(cases) < 28:
+        spec, _ = generate.random_groupoid(rng, max_arrows=150,
+                                           max_isotropy=24)
+        if (spec, 24) not in cases:
+            cases.append((spec, 24))
+    return cases
+
+
+@pytest.mark.parametrize("case, cap", _mark_cases())
+def test_marks_match_the_coset_oracle(case, cap):
+    if case in PERMUTATION_GROUPS:
+        g = core.from_group(_permutation_group(case))
+    else:
+        g = generate.from_spec(case)
+    table = subconj.mark_table(g, cap)
+    reps = table.reps
+    for i, h in enumerate(reps):
+        for j, k in enumerate(reps):
+            if table.components[i] == table.components[j]:
+                assert table.matrix[i][j] == oracles.mark(g, h, k), (i, j)
+            else:
+                assert table.matrix[i][j] == 0, (i, j)
+
+
+def _class_index_cases():
+    cases = [generate.from_spec("trg:S3:2"), generate.from_spec("trg:D4:3"),
+             core.coproduct([core.from_group(groups.cyclic(2)),
+                             core.pair_groupoid(2)])]
+    rng = Random(23)
+    cases += [generate.random_groupoid(rng, max_arrows=120,
+                                       max_isotropy=12)[1] for _ in range(8)]
+    return cases
+
+
+@pytest.mark.parametrize("g", _class_index_cases())
+def test_class_index_matches_the_scan(g):
+    reps = subconj.enumerate_reps(g)
+    # the same classes, each rep moved to the last object of its component
+    moved = []
+    for r in reps:
+        last = g.components()[g.component_index(r.base)][-1]
+        moved.append(r.conjugate_by(g.hom(r.base, last)[0]))
+    for base in g.objects():  # bases and non-bases alike
+        for sub in subconj.enumerate_subgroups(g, base):
+            h = core.OneObjectSubgroupoid(g, base, sorted(sub))
+            i = subconj.conjugacy_class_index(h, reps)
+            assert i == oracles.class_index_by_scan(h, reps)
+            assert subconj.conjugacy_class_index(h, moved) == i
+            others = reps[:i] + reps[i + 1:]
+            with pytest.raises(errors.GroupoidMismatch):
+                subconj.conjugacy_class_index(h, others)
+
+
+def test_class_index_rejects_reps_of_another_groupoid():
+    g = generate.from_spec("trg:S3:2")
+    twin = generate.from_spec("trg:S3:2")
+    h = core.OneObjectSubgroupoid(g, 1, [g.identity(1)])
+    with pytest.raises(errors.GroupoidMismatch):
+        subconj.conjugacy_class_index(h, subconj.enumerate_reps(twin))
+
+
+def test_library_path_builds_no_coset_gsets(monkeypatch):
+    counts = {}
+    mods = [m for name, m in sys.modules.items()
+            if name == "groupoids" or name.startswith("groupoids.")]
+    for fn in (gset.coset_gset, gset.fixed_points,
+               subconj.conjugated_isotropy_subgroups):
+        def counting(*args, _fn=fn, **kwargs):
+            counts[_fn.__name__] = counts.get(_fn.__name__, 0) + 1
+            return _fn(*args, **kwargs)
+        for m in mods:  # every binding site, as the benchmark tracer does
+            for key, value in list(vars(m).items()):
+                if value is fn:
+                    monkeypatch.setattr(m, key, counting)
+    for spec in ("trg:D4:3", "coprod:trg:D4:2,trg:Q8:2,trg:C12:2"):
+        g = generate.from_spec(spec)
+        subconj.mark_table(g)
+        ring = burnside.BurnsideRing(g)
+        ring.to_json()
+        burnside.product_decomposition(ring)
+        ghost.primitive_idempotents(ring)
+    assert counts == {}
+    gset.coset_gset(g, ring.reps[0])  # the counters do see a direct call
+    assert counts == {"coset_gset": 1}
+
+
+def test_subconj_imports_nothing_from_gset():
+    # `from .gset import x`, `from . import gset` and `import groupoids.gset`
+    names = set()
+    for node in ast.walk(ast.parse(pathlib.Path(subconj.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom):
+            names.add(node.module or "")
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name for alias in node.names)
+    assert not [n for n in names if n.split(".")[-1] == "gset"]
