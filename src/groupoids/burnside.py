@@ -10,9 +10,13 @@ the rig is cancellative (the table of marks is invertible over Q).
 
 Multiplication goes through the ghost map: the table of marks M sends an
 element to its fixed point counts, an injective ring map into Z^r with the
-pointwise product, so a·b = M⁻¹(Ma ⊙ Mb), solved exactly block by block.
-The structure constants are the products of basis cosets, checked to be
-integers. A groupoid morphism induces a ring homomorphism the other way
+pointwise product, so a·b = M⁻¹(Ma ⊙ Mb), solved exactly block by block
+in integers over one denominator per block (see `MarkTable`);
+coefficients are int or Fraction. The structure constants are the
+products of basis cosets, checked to be integers, each solved only on
+the rows of its block from max(i, j) on, where the column product can be
+nonzero; pairs across components are zero without a solve. A groupoid
+morphism induces a ring homomorphism the other way
 (pull back a G-set, decompose over the source), and for a disconnected
 groupoid the ring splits as a product of one-object Burnside rings, one
 per component.
@@ -25,6 +29,7 @@ and is only decidable over a finite search universe.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from operator import mul
 
 from .core import FiniteGroupoid, GroupoidMorphism, OneObjectSubgroupoid, from_group
@@ -96,6 +101,10 @@ class BurnsideRing:
         if len(coeffs) != self.rank:
             raise TableMismatch("coefficient vector has wrong length",
                                 expected=self.rank, got=len(coeffs))
+        for i, c in enumerate(coeffs):
+            if type(c) is not int and type(c) is not Fraction:
+                raise TableMismatch("coefficients must be int or Fraction",
+                                    index=i, type=type(c).__name__)
         return BurnsideElement(self, coeffs)
 
     def basis(self, i) -> BurnsideElement:
@@ -111,15 +120,19 @@ class BurnsideRing:
         return self.element(decompose(x, self.reps).coefficients)
 
     def structure_constants(self, i, j):
-        """Decomposition of b_i·b_j: M⁻¹ of the product of columns i, j of M."""
+        """Decomposition of b_i·b_j: M⁻¹ of the product of columns i, j of M,
+        solved from row max(i, j), above which both columns vanish."""
         table = self.mark_table()
         if table.components[i] != table.components[j]:
             return (0,) * self.rank
-        coeffs = table.solve(tuple(row[i] * row[j] for row in table.matrix))
+        first = max(i, j)
+        _, stop, det = next(b for b in table._blocks if first < b[1])
+        coeffs = table._solve_rows(first, stop, det, [
+            row[i] * row[j] for row in table.matrix[first:stop]])
         if any(type(c) is not int for c in coeffs):
             raise DecompositionMismatch("structure constant is not an integer",
                                         i=i, j=j)
-        return coeffs
+        return (0,) * first + tuple(coeffs) + (0,) * (self.rank - stop)
 
     def mul(self, a: BurnsideElement, b: BurnsideElement) -> BurnsideElement:
         table = self.mark_table()
@@ -130,15 +143,16 @@ class BurnsideRing:
         return mark_table(self.groupoid, self.cap)
 
     def to_json(self):
-        # structure constants as sparse triples (i, j, nonzero result terms)
+        # structure constants as sparse triples (i, j, nonzero result terms);
+        # pairs across components are all zero and are skipped
         triples = []
-        for i in range(self.rank):
-            for j in range(i, self.rank):
-                terms = [[k, c]
-                         for k, c in enumerate(self.structure_constants(i, j))
-                         if c]
-                if terms:
-                    triples.append([i, j, terms])
+        for start, stop, _ in self.mark_table()._blocks:
+            for i in range(start, stop):
+                for j in range(i, stop):
+                    terms = [[k, c] for k, c in enumerate(
+                        self.structure_constants(i, j)) if c]
+                    if terms:
+                        triples.append([i, j, terms])
         return {
             "basis": list(self.labels),
             "one": list(self.one().coeffs),

@@ -189,11 +189,16 @@ def _cmd_ghost(args):
                                      path=args.apply, index=i)
         elem = ring.element(coeffs)
         applied = ghost.ghost_apply(ring, elem)
+        try:
+            shown = [str(v) for v in applied]
+        except ValueError as ex:  # past the interpreter's int-to-str limit
+            raise MalformedInput("ghost value too large to print",
+                                 path=args.apply, reason=str(ex)) from None
     fmt = _fmt(args, "csv")
     if fmt == "csv":
         text = table.to_csv_string()
         if applied is not None:
-            text += "ghost," + ",".join(str(v) for v in applied) + "\n"
+            text += "ghost," + ",".join(shown) + "\n"
         return text
     out = {"labels": list(table.labels),
            "matrix": [list(row) for row in table.matrix],

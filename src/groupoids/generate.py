@@ -33,16 +33,35 @@ def group_from_spec(token: str) -> Group:
         return named(token)
     except MalformedInput:
         pass
-    try:
-        with open(token) as fh:
-            data = json.load(fh)
-    except OSError as ex:
-        raise MalformedInput("unknown group name and unreadable table file",
-                             token=token, reason=str(ex)) from None
+    data = _load(token, "unknown group name and unreadable table file",
+                 token=token)
     if isinstance(data, dict):
-        return Group(data["table"], names=data.get("names"),
+        names = data.get("names")
+        if names is not None and not isinstance(names, list):
+            raise MalformedInput("group names must be a list", token=token)
+        return Group(_int_rows(data.get("table"), token=token), names=names,
                      name=data.get("name", token))
-    return Group(data, name=token)
+    return Group(_int_rows(data, token=token), name=token)
+
+
+def _load(file, message, **where):
+    """JSON of a table file; an unreadable or invalid file is MalformedInput."""
+    try:
+        with open(file) as fh:
+            return json.load(fh)
+    except OSError as ex:
+        raise MalformedInput(message, **where, reason=str(ex)) from None
+    except ValueError as ex:  # JSONDecodeError, UnicodeDecodeError
+        raise MalformedInput("not valid JSON", **where, reason=str(ex)) from None
+
+
+def _int_rows(rows, **where):
+    """rows if it is a list of lists of ints (not bools), else MalformedInput."""
+    if not (isinstance(rows, list) and all(
+            isinstance(row, list) and all(type(v) is int for v in row)
+            for row in rows)):
+        raise MalformedInput("table must be a list of integer rows", **where)
+    return rows
 
 
 def from_spec(spec: str) -> FiniteGroupoid:
@@ -67,12 +86,8 @@ def from_spec(spec: str) -> FiniteGroupoid:
             raise MalformedInput("action spec is action:<group>:<n>:<file>",
                                  spec=spec)
         token, n, path = fields
-        try:
-            with open(path) as fh:
-                table = json.load(fh)
-        except OSError as ex:
-            raise MalformedInput("unreadable action table file", path=path,
-                                 reason=str(ex)) from None
+        table = _int_rows(_load(path, "unreadable action table file",
+                                path=path), path=path)
         return core.action_groupoid(group_from_spec(token),
                                     _positive_int(n, spec), table)
     raise MalformedInput("unknown generator spec", spec=spec)

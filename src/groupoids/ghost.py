@@ -5,7 +5,10 @@ one per conjugacy class of one-object subgroupoids; its matrix in the
 coset basis is the table of marks, `BurnsideRing.mark_table()`, built at
 the ring's cap and memoized on the groupoid. The table owns both
 directions: `MarkTable.ghost` applies the map and `MarkTable.solve`
-inverts it by exact forward substitution inside each component block.
+inverts it by exact forward substitution inside each component block,
+both in integers with one denominator per block and both starting at
+the input's first nonzero entry in each block. The idempotent for class
+i is solved from row i on, and verified from its own first nonzero row.
 The primitive idempotents of Q tensor B(G) are the preimages of the unit
 vectors of the ghost ring, and `verify_idempotents` checks them there.
 """

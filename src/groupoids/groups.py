@@ -34,12 +34,30 @@ class Group:
                 raise MalformedInput("row %d is not a permutation range" % i, row=i)
         if any(self.table[0][j] != j or self.table[j][0] != j for j in range(n)):
             raise MalformedInput("index 0 is not an identity element")
-        for i, j, k in itertools.product(range(n), repeat=3):
-            if self.table[self.table[i][j]][k] != self.table[i][self.table[j][k]]:
-                raise MalformedInput("associativity fails", triple=(i, j, k))
+        t = self.table
+        # Light's test: (ij)k = i(jk) for all i, k carries over from j in a
+        # generating set to products of such j, hence to every j
+        if not all(t[t[i][j]] == tuple(map(t[i].__getitem__, t[j]))
+                   for j in self._generators() for i in range(n)):
+            for i, j, k in itertools.product(range(n), repeat=3):
+                if t[t[i][j]][k] != t[i][t[j][k]]:
+                    raise MalformedInput("associativity fails", triple=(i, j, k))
         for i in range(n):
             if not any(self.table[i][j] == 0 for j in range(n)):
                 raise MalformedInput("element has no inverse", element=i)
+
+    def _generators(self):
+        """Greedy generators: each element not yet a product of earlier ones,
+        products taken from 0 by right multiplication; needs no associativity."""
+        t, reached, gens = self.table, {0}, []
+        for s in range(self.n):
+            if s not in reached:
+                gens.append(s)
+                new = reached
+                while new:
+                    new = {t[r][g] for r in new for g in gens} - reached
+                    reached |= new
+        return gens
 
     def _find_inverse(self, i):
         for j in range(self.n):

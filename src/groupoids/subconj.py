@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import prod
+from math import lcm, prod
 from operator import mul
 
 from .core import FiniteGroupoid, OneObjectSubgroupoid, Subgroupoid
@@ -305,13 +305,32 @@ def conjugacy_witness_json(g: FiniteGroupoid, witness):
 
 # -- tables of marks -------------------------------------------------------
 
+def _integral(vec):
+    """(L, L·vec): L the lcm of the denominators of an int/Fraction vector."""
+    scale = lcm(*(x.denominator for x in vec))
+    return scale, [x.numerator * (scale // x.denominator) for x in vec]
+
+
+def _over(ys, d):
+    """ys / d entrywise: an int where d divides, a Fraction elsewhere."""
+    out = []
+    for y in ys:
+        q, r = divmod(y, d)
+        out.append(Fraction(y, d) if r else q)
+    return out
+
+
 @dataclass(frozen=True)
 class MarkTable:
     """The ghost map M and its inverse over one class ordering.
 
     `components` gives each row's component; rows of a component are
     contiguous and form one lower triangular block, so M·a and M⁻¹·v only
-    read a row's own block, up to the diagonal.
+    read a row's own block, up to the diagonal. Both work in integers on
+    L times the input, L the lcm of its denominators, and enter each
+    block at the input's first nonzero entry there: the rows above map
+    to 0. A block's results share one denominator, L for the ghost map
+    and det·L for a solve, det the block's determinant.
     """
     groupoid: FiniteGroupoid
     reps: tuple
@@ -320,31 +339,57 @@ class MarkTable:
     components: tuple
 
     @cached_property
-    def _block_starts(self):
-        # index of the first row of each row's block
-        return [self.components.index(c) for c in self.components]
+    def _blocks(self):
+        # (start, stop, det) of each run of rows in one component
+        comps, out, start = self.components, [], 0
+        for stop in range(1, len(comps) + 1):
+            if stop == len(comps) or comps[stop] != comps[start]:
+                out.append((start, stop, prod(self.matrix[k][k]
+                                              for k in range(start, stop))))
+                start = stop
+        return tuple(out)
 
     def ghost(self, coeffs) -> tuple:
         """M·a: the fixed point counts of the element with these coefficients."""
-        return tuple(sum(map(mul, row[s:i + 1], coeffs[s:i + 1]))
-                     for i, (row, s) in enumerate(zip(self.matrix,
-                                                      self._block_starts)))
+        scale, w = _integral(coeffs)
+        out = [0] * len(self.matrix)
+        for start, stop, _ in self._blocks:
+            first = next((k for k in range(start, stop) if w[k]), stop)
+            for i in range(first, stop):
+                out[i] = sum(map(mul, self.matrix[i][first:i + 1],
+                                 w[first:i + 1]))
+        return tuple(_over(out, scale))
 
     def solve(self, ghost) -> tuple:
         """M⁻¹·v by exact forward substitution inside each block.
 
         Integral entries come back as int, the others as Fraction; a zero
-        pivot raises SingularMatrix.
+        pivot raises SingularMatrix at its row.
         """
-        out = []
-        for i, (row, s) in enumerate(zip(self.matrix, self._block_starts)):
-            pivot = row[i]
-            if not pivot:
-                raise SingularMatrix("zero pivot in triangular solve", row=i)
-            acc = ghost[i] - sum(map(mul, row[s:i], out[s:i]))
-            q, r = divmod(acc, pivot)
-            out.append(Fraction(acc) / pivot if r else int(q))
+        scale, w = _integral(ghost)
+        out = [0] * len(self.matrix)
+        for start, stop, det in self._blocks:
+            if not det:
+                raise SingularMatrix(
+                    "zero pivot in triangular solve", row=next(
+                        k for k in range(start, stop) if not self.matrix[k][k]))
+            first = next((k for k in range(start, stop) if w[k]), stop)
+            out[first:stop] = self._solve_rows(first, stop, det,
+                                               w[first:stop], scale)
         return tuple(out)
+
+    def _solve_rows(self, first, stop, det, w, scale=1):
+        """x on rows first..stop-1 of a block of determinant det, where
+        M x = w / scale for integers w and x is 0 above first.
+
+        Substitutes for y = det·scale·x, which is integral (det·M⁻¹ is the
+        block's adjugate), so each division by a pivot is exact.
+        """
+        matrix, ys = self.matrix, []
+        for i, wi in zip(range(first, stop), w):
+            row = matrix[i]
+            ys.append((det * wi - sum(map(mul, row[first:i], ys))) // row[i])
+        return _over(ys, det * scale)
 
     def det(self) -> int:
         """Exact determinant: the diagonal product of a triangular matrix."""

@@ -7,6 +7,7 @@ a second opinion. Size guards keep the exponential searches honest.
 
 from fractions import Fraction
 from itertools import product
+from operator import mul
 
 from groupoids.core import OneObjectSubgroupoid
 from groupoids.errors import (
@@ -16,7 +17,9 @@ from groupoids.errors import (
     GroupoidMismatch,
     InverseFailure,
     IsotropyTooLarge,
+    MalformedInput,
     MissingIdentity,
+    SingularMatrix,
 )
 from groupoids.gset import coset_gset, decompose, fibered_product
 from groupoids.subconj import DEFAULT_ISOTROPY_CAP, conjugated_isotropy_subgroups
@@ -327,6 +330,67 @@ def det_gauss(matrix):
             if factor:
                 m[r] = [v - factor * w for v, w in zip(m[r], m[col])]
     return det
+
+
+def _block_starts(table):
+    # index of the first row of each row's block
+    return [table.components.index(c) for c in table.components]
+
+
+def ghost_by_rows(table, coeffs):
+    """M·a row by row in the input's own arithmetic, up to the diagonal."""
+    return tuple(sum(map(mul, row[s:i + 1], coeffs[s:i + 1]))
+                 for i, (row, s) in enumerate(zip(table.matrix,
+                                                  _block_starts(table))))
+
+
+def solve_by_fractions(table, ghost):
+    """M⁻¹·v by forward substitution over every row, one division per row.
+
+    Integral entries come back as int, the others as Fraction; a zero
+    pivot raises SingularMatrix.
+    """
+    out = []
+    for i, (row, s) in enumerate(zip(table.matrix, _block_starts(table))):
+        pivot = row[i]
+        if not pivot:
+            raise SingularMatrix("zero pivot in triangular solve", row=i)
+        acc = ghost[i] - sum(map(mul, row[s:i], out[s:i]))
+        q, r = divmod(acc, pivot)
+        out.append(Fraction(acc) / pivot if r else int(q))
+    return tuple(out)
+
+
+def structure_constant_triples(ring):
+    """`to_json()["structure_constants"]` over all rank² / 2 pairs i <= j,
+    each solved by `solve_by_fractions` on the product of columns i, j."""
+    table = ring.mark_table()
+    triples = []
+    for i in range(ring.rank):
+        for j in range(i, ring.rank):
+            coeffs = solve_by_fractions(
+                table, [row[i] * row[j] for row in table.matrix])
+            terms = [[k, c] for k, c in enumerate(coeffs) if c]
+            if terms:
+                triples.append([i, j, terms])
+    return triples
+
+
+def check_group_table(table):
+    """Group axioms on a Cayley table over 0..n-1 with identity 0, every
+    associativity triple (i, j, k) in order; raises the first failure."""
+    n = len(table)
+    for i, row in enumerate(table):
+        if len(row) != n or any(not (0 <= v < n) for v in row):
+            raise MalformedInput("row %d is not a permutation range" % i, row=i)
+    if any(table[0][j] != j or table[j][0] != j for j in range(n)):
+        raise MalformedInput("index 0 is not an identity element")
+    for i, j, k in product(range(n), repeat=3):
+        if table[table[i][j]][k] != table[i][table[j][k]]:
+            raise MalformedInput("associativity fails", triple=(i, j, k))
+    for i in range(n):
+        if not any(table[i][j] == 0 for j in range(n)):
+            raise MalformedInput("element has no inverse", element=i)
 
 
 def structure_constants(ring, i, j):

@@ -62,14 +62,14 @@ def test_cross_component_structure_constants_skip_the_solve(monkeypatch):
     ring = burnside.BurnsideRing(
         generate.from_spec("coprod:trg:Q8:1,trg:C6:1,pair:2"))
     components = ring.mark_table().components
-    solve = subconj.MarkTable.solve
+    solve_rows = subconj.MarkTable._solve_rows
     calls = []
 
-    def counting_solve(self, v):
-        calls.append(v)
-        return solve(self, v)
+    def counting_solve_rows(self, first, stop, det, w, scale=1):
+        calls.append((first, stop))
+        return solve_rows(self, first, stop, det, w, scale)
 
-    monkeypatch.setattr(subconj.MarkTable, "solve", counting_solve)
+    monkeypatch.setattr(subconj.MarkTable, "_solve_rows", counting_solve_rows)
     cross = [(i, j) for i in range(ring.rank) for j in range(ring.rank)
              if components[i] != components[j]]
     assert len(set(components)) == 3 and cross
@@ -80,16 +80,35 @@ def test_cross_component_structure_constants_skip_the_solve(monkeypatch):
     assert calls == []
     ring.structure_constants(0, 0)
     assert len(calls) == 1
+    # to_json solves each in-block pair i <= j once, and no other pair
+    calls.clear()
+    ring.to_json()
+    inside = [(i, j) for i in range(ring.rank) for j in range(i, ring.rank)
+              if components[i] == components[j]]
+    assert len(calls) == len(inside)
 
 
 def test_non_integral_structure_constant_raises(s3_ring, monkeypatch):
     table = s3_ring.mark_table()
     assert table.components[1] == table.components[2]
-    monkeypatch.setattr(type(table), "solve",
-                        lambda self, v: (Fraction(1, 2),) + tuple(v[1:]))
+    monkeypatch.setattr(
+        type(table), "_solve_rows",
+        lambda self, first, stop, det, w, scale=1: [Fraction(1, 2)] + w[1:])
     with pytest.raises(errors.DecompositionMismatch) as info:
         s3_ring.structure_constants(1, 2)
     assert info.value.detail == {"i": 1, "j": 2}
+
+
+@pytest.mark.parametrize("bad", [0.1, 1.5, "x", True, None, [1]])
+def test_elements_take_only_int_and_fraction_coefficients(bad):
+    ring = burnside.BurnsideRing(generate.from_spec("trg:S3:1"))
+    with pytest.raises(errors.TableMismatch) as info:
+        ring.element([0, 0, bad, 0])
+    assert info.value.detail == {"index": 2, "type": type(bad).__name__}
+    with pytest.raises(errors.TableMismatch):
+        ghost.ghost_apply(ring, ring.element([bad, 0, 0, 0]))
+    half = ring.element([Fraction(1, 2), -3, 0, 0])
+    assert (half * ring.one()).coeffs == half.coeffs
 
 
 def test_from_gset_is_additive_and_multiplicative(s3_two_objects):

@@ -608,3 +608,99 @@ def test_mutated_fuzz_fixtures_never_raise(data):
             assert code in (0, 1, 2), argv
             if code == 1:
                 assert set(json.loads(out.getvalue())) == {"error", "detail"}
+
+
+def _subgroupoid_docs(g):
+    """One-object class reps and the whole groupoid, as subgroupoid JSON."""
+    docs = [{"objects": [g.object_labels[r.base]],
+             "arrows": [g.arrow_labels[a] for a in r.arrows]}
+            for r in subconj.enumerate_reps(g)]
+    docs.append({"objects": list(g.object_labels),
+                 "arrows": list(g.arrow_labels)})
+    return docs
+
+
+def _run_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(argv)
+    assert code in (0, 1, 2), argv
+    if code == 1:
+        assert set(json.loads(out.getvalue())) == {"error", "detail"}
+    return code
+
+
+# odd coefficients and labels: floats, bools, huge ints, nested lists
+ODD_VALUES = st.one_of(JSON_VALUES, st.floats(allow_nan=False),
+                       st.just(10 ** 4300 - 1), st.just(-(10 ** 300)),
+                       st.lists(st.lists(st.integers(0, 3), max_size=2),
+                                min_size=1, max_size=2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_mutated_subgroupoid_and_coefficient_files_never_raise(data):
+    """Mutate the subgroupoid files read by `conjugate` and `gset fixed`
+    and the coefficient file read by `ghost --apply`; every run ends in
+    exit 0, 1 or 2, and exit 1 with an error record."""
+    fixture = data.draw(st.sampled_from(_gset_fixtures()))
+    g = core.validate(fixture["groupoid"])
+    subs = [copy.deepcopy(data.draw(st.sampled_from(_subgroupoid_docs(g))))
+            for _ in range(2)]
+    doc = subs[0]
+    kind = data.draw(st.sampled_from(["drop", "retype", "arrow", "object"]))
+    if kind == "drop":
+        key = data.draw(st.sampled_from(sorted(doc)))
+        if doc[key] and data.draw(st.booleans()):
+            del doc[key][data.draw(st.integers(0, len(doc[key]) - 1))]
+        else:
+            del doc[key]
+    elif kind == "retype":
+        path, _ = data.draw(st.sampled_from(list(_json_nodes(doc))[1:]))
+        _at(doc, path[:-1])[path[-1]] = data.draw(ODD_VALUES)
+    else:  # add a label of the groupoid, or a stray value, to one list
+        key = kind + "s"
+        labels = list(g.arrow_labels if kind == "arrow" else g.object_labels)
+        doc[key].append(data.draw(st.one_of(st.sampled_from(labels),
+                                            ODD_VALUES)))
+    rank = len(subconj.enumerate_reps(g))
+    vec = data.draw(st.lists(st.integers(-5, 5), min_size=rank,
+                             max_size=rank))
+    vec_kind = data.draw(st.sampled_from(["entry", "length", "nest"]))
+    if vec_kind == "entry":
+        vec[data.draw(st.integers(0, rank - 1))] = data.draw(ODD_VALUES)
+    elif vec_kind == "length":
+        vec = vec[:data.draw(st.integers(0, rank + 2))] + [0] * data.draw(
+            st.integers(0, 2))
+    else:
+        vec = data.draw(st.sampled_from([[vec], {"coefficients": vec}, vec[0]]))
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {name: os.path.join(tmp, name + ".json")
+                 for name in ("g", "x", "h", "k", "vec")}
+        for name, value in (("g", fixture["groupoid"]), ("x", fixture["gset"]),
+                            ("h", subs[0]), ("k", subs[1]), ("vec", vec)):
+            with open(paths[name], "w") as fh:
+                json.dump(value, fh)
+        gp = ["--groupoid", paths["g"]]
+        for argv in (["conjugate", paths["h"], paths["k"], *gp,
+                      "--search-budget", "2000"],
+                     ["conjugate", paths["k"], paths["h"], *gp,
+                      "--search-budget", "2000"],
+                     ["gset", "fixed", paths["x"], paths["h"], *gp],
+                     ["ghost", paths["g"], "--apply", paths["vec"]],
+                     ["ghost", paths["g"], "--apply", paths["vec"],
+                      "--format", "json"]):
+            _run_quietly(argv)
+
+
+def test_ghost_apply_reports_values_too_large_to_print(tmp_path, capsys):
+    # 6·(10^4300 - 1) has 4301 digits, past the default int-to-str limit
+    vec = tmp_path / "vec.json"
+    vec.write_text("[0, 0, 0, %s]" % ("9" * 4300))
+    for fmt in ("csv", "json"):
+        code, out = run_cli(capsys, "ghost", "--gen", "trg:S3:1",
+                            "--apply", str(vec), "--format", fmt)
+        assert code == 1
+        record = json.loads(out)
+        assert record["error"] == "MalformedInput"
+        assert record["detail"]["message"] == "ghost value too large to print"

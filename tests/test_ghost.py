@@ -1,3 +1,4 @@
+import functools
 from fractions import Fraction
 from random import Random
 
@@ -214,3 +215,101 @@ def test_random_groupoid_ghost_and_idempotents(seed):
     es = ghost.primitive_idempotents(ring)
     assert ghost.verify_idempotents(ring, es)
     assert oracles.idempotents_by_products(ring, es)
+
+
+# -- the integer kernel against the row-by-row Fraction routes --------------
+
+_PERMUTATIONS = {"S4": ([(1, 0, 2, 3), (1, 2, 3, 0)], 4, 24),
+                 "A5": ([(1, 2, 0, 3, 4), (0, 1, 3, 4, 2)], 5, 60),
+                 "S5": ([(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)], 5, 120)}
+_HAND_MADE = {
+    "lower": (((2, 0, 0), (3, 4, 0), (5, 6, 7)), (0, 0, 0)),
+    "blocks": (((2, 0, 0, 0), (2, 1, 0, 0), (0, 0, 3, 0), (0, 0, 3, 1)),
+               (0, 0, 1, 1)),
+    # an entry across blocks, which neither route reads
+    "stray": (((2, 0, 0, 0), (2, 1, 0, 0), (7, 0, 3, 0), (0, 0, 3, 1)),
+              (0, 0, 1, 1)),
+}
+_SPLIT_LADDER = "coprod:trg:D4:2,trg:Q8:2,trg:C12:2"
+_RANDOM_SEEDS = (3, 17, 29)
+
+
+@functools.cache
+def _kernel_table(name):
+    if name in _PERMUTATIONS:
+        gens, degree, cap = _PERMUTATIONS[name]
+        g = core.from_group(groups.from_permutations(gens, degree, name=name))
+        return subconj.mark_table(g, cap)
+    if name in _HAND_MADE:
+        return _table(*_HAND_MADE[name])
+    if name.startswith("random:"):
+        rng = Random(int(name[7:]))
+        return subconj.mark_table(generate.random_groupoid(
+            rng, max_arrows=150, max_isotropy=24)[1])
+    return subconj.mark_table(generate.from_spec(name))
+
+
+_KERNEL_TABLES = (sorted(_PERMUTATIONS) + sorted(_HAND_MADE)
+                  + [_SPLIT_LADDER]
+                  + ["random:%d" % seed for seed in _RANDOM_SEEDS])
+_ENTRIES = st.one_of(st.integers(-10**6, 10**6),
+                     st.fractions(-50, 50, max_denominator=36))
+
+
+@st.composite
+def _table_and_vector(draw):
+    """A table and a vector with zero blocks and leading zeros per block."""
+    table = _kernel_table(draw(st.sampled_from(_KERNEL_TABLES)))
+    vec = []
+    for start, stop, _ in table._blocks:
+        size = stop - start
+        zeros = draw(st.integers(0, size))  # size: the whole block is zero
+        vec += [0] * zeros + draw(st.lists(_ENTRIES, min_size=size - zeros,
+                                           max_size=size - zeros))
+    return table, vec
+
+
+def _same(got, want):
+    # equal values, and int exactly where the value is integral
+    assert got == want
+    assert [type(x) is int for x in got] == \
+        [Fraction(x).denominator == 1 for x in want]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_table_and_vector())
+def test_solve_and_ghost_match_the_fraction_routes(case):
+    table, vec = case
+    x = table.solve(vec)
+    _same(x, oracles.solve_by_fractions(table, vec))
+    _same(table.ghost(vec), oracles.ghost_by_rows(table, vec))
+    _same(table.ghost(x), tuple(vec))
+
+
+@pytest.mark.parametrize("matrix, components", [
+    (((1, 0), (5, 0)), (0, 0)),
+    (((1, 0, 0), (0, 0, 0), (0, 4, 0)), (0, 1, 1)),
+    (((0, 0, 0), (0, 2, 0), (0, 0, 0)), (0, 1, 2))])
+def test_zero_pivot_is_reported_at_its_row(matrix, components):
+    table = _table(matrix, components)
+    n = len(matrix)
+    for vec in ([0] * n, [1] * n, [0] * (n - 1) + [Fraction(1, 3)]):
+        with pytest.raises(errors.SingularMatrix) as want:
+            oracles.solve_by_fractions(table, vec)
+        with pytest.raises(errors.SingularMatrix) as got:
+            table.solve(vec)
+        assert got.value.detail == want.value.detail
+        # the ghost map itself never needs a pivot
+        assert table.ghost(vec) == oracles.ghost_by_rows(table, vec)
+
+
+@pytest.mark.parametrize("name", [n for n in _KERNEL_TABLES
+                                  if n not in _HAND_MADE])
+def test_in_block_structure_constants_match_all_pairs(name):
+    table = _kernel_table(name)
+    cap = _PERMUTATIONS[name][2] if name in _PERMUTATIONS else \
+        subconj.DEFAULT_ISOTROPY_CAP
+    ring = burnside.BurnsideRing(table.groupoid, cap=cap)
+    assert ring.mark_table() is table
+    assert ring.to_json()["structure_constants"] == \
+        oracles.structure_constant_triples(ring)
